@@ -8,7 +8,7 @@
 
 #include "bench_util.h"
 #include "gatesim/bist.h"
-#include "gatesim/fault_sim.h"
+#include "gatesim/levelized.h"
 #include "gatesim/patterns.h"
 #include "model/coverage_laws.h"
 #include "netlist/builders.h"
@@ -23,7 +23,7 @@ int main() {
         gatesim::collapse_faults(c, gatesim::full_fault_universe(c));
 
     const auto curve_of = [&](auto&& make_vector, const char* name) {
-        gatesim::FaultSimulator sim(c, faults);
+        gatesim::LevelizedFaultSimulator sim(c, faults);
         std::vector<gatesim::Vector> vs;
         for (int i = 0; i < 2048; ++i) vs.push_back(make_vector());
         sim.apply(vs);

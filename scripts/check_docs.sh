@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Documentation lint, run by the `docs_check` CTest entry and the CI docs
-# job.  Three checks:
+# job.  Four checks:
 #   1. every relative markdown link in the repo's *.md files points at a
 #      file or directory that exists (external URLs and pure #anchors are
 #      skipped, as are targets that don't look like paths);
@@ -10,7 +10,10 @@
 #      documented to land;
 #   3. every CLI flag a tool accepts (the "--flag" literals in its source,
 #      which is also what its usage()/--help prints) appears in
-#      docs/CONFIGURATION.md or the tool's own doc page.
+#      docs/CONFIGURATION.md or the tool's own doc page;
+#   4. the reverse of 2: every DLPROJ_* name docs/CONFIGURATION.md lists
+#      still occurs in src/, tools/, scripts/ or a CMakeLists.txt (a
+#      trailing _* is a prefix), so deleted knobs leave the docs too.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -81,6 +84,24 @@ if [ -f "$conf" ]; then
         done < <(grep -ohE '"--[a-z][a-z-]*' "$tool_src" | tr -d '"' |
                  sort -u)
     done
+fi
+
+# --- 4. every documented DLPROJ_* name still exists ---------------------
+if [ -f "$conf" ]; then
+    mapfile -t cmake_lists < <(find . -name CMakeLists.txt \
+        -not -path './build*' -not -path './.bench_build/*')
+    while IFS= read -r name; do
+        prefix=${name%_\*}
+        if [ "$prefix" != "$name" ]; then
+            grep -rqF -- "${prefix}_" src tools scripts "${cmake_lists[@]}"
+        else
+            grep -rqw -- "$name" src tools scripts "${cmake_lists[@]}"
+        fi || {
+            echo "STALE KNOB: $name (in $conf, absent from src/, tools/," \
+                 "scripts/ and every CMakeLists.txt)"
+            fail=1
+        }
+    done < <(grep -ohE 'DLPROJ_[A-Z0-9_]*[A-Z0-9*]' "$conf" | sort -u)
 fi
 
 if [ "$fail" -ne 0 ]; then

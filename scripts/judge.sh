@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
-# Golden-corpus judge (ROADMAP #5 seed): runs every registered fault-sim
-# engine over the corpus circuits and compares the SHA-256 of each
+# Golden-corpus judge: runs both fault-sim engines (the naive oracle and
+# levelized) over the corpus circuits and compares the SHA-256 of each
 # canonical detection table (tools/dlproj_judge) against the digests
-# pinned under data/golden/.  All engines are bit-identical by contract,
-# so every <circuit>.<engine>.sha256 for one circuit pins the *same*
-# digest — an engine drifting from the others, or any semantic change to
+# pinned under data/golden/.  The engines are bit-identical by contract,
+# so both <circuit>.<engine>.sha256 pins for one circuit hold the *same*
+# digest — an engine drifting from the other, or any semantic change to
 # parsing/collapsing/simulation, fails the judge.
 #
 # The c432 switch-level table (dlproj_judge --switch: the full physical
 # flow's realistic-fault verdicts) is judged as pseudo-engine "switch" —
-# one digest, engine-independent by the same bit-identity contract.
+# one digest, independent of the gate-level engine.
 #
 # Each run also writes BENCH_judge.json next to the cwd: per-(circuit,
 # engine) wall seconds, so the judge doubles as the committed per-circuit
@@ -19,7 +19,7 @@
 #
 #   --update        re-pin the digests from the current build instead of
 #                   comparing (commit the diff under data/golden/)
-#   --engine=NAME   judge only one engine (default: all registered; the
+#   --engine=NAME   judge only one engine (default: both; the
 #                   switch-level table is judged regardless)
 #
 # Exit status: 0 all digests match, 1 any mismatch, 2 usage/build error.

@@ -10,9 +10,11 @@
 // the vector adjacency that two-pattern (transition) tests rely on.
 #pragma once
 
-#include <string_view>
+#include <span>
+#include <vector>
 
-#include "gatesim/engine.h"
+#include "gatesim/faults.h"
+#include "gatesim/logic_sim.h"
 
 namespace dlp::atpg {
 
@@ -22,11 +24,9 @@ struct CompactionResult {
     std::size_t kept = 0;
 };
 
-/// `engine` selects the grading fault-sim engine (sim::resolve_engine
-/// semantics: "" = DLPROJ_ENGINE, else the registry default).
 CompactionResult compact_reverse(
     const netlist::Circuit& circuit,
     std::span<const gatesim::StuckAtFault> faults,
-    std::span<const gatesim::Vector> vectors, std::string_view engine = {});
+    std::span<const gatesim::Vector> vectors);
 
 }  // namespace dlp::atpg

@@ -5,6 +5,7 @@
 #include <span>
 #include <stdexcept>
 
+#include "gatesim/levelized.h"
 #include "gatesim/patterns.h"
 #include "obs/telemetry.h"
 
@@ -55,11 +56,9 @@ TestGenResult generate_test_set(const Circuit& circuit,
         options.untestable.size() != faults.size())
         throw std::invalid_argument(
             "generate_test_set: untestable mask size mismatch");
-    const std::unique_ptr<sim::Session> session =
-        sim::resolve_engine(options.engine)
-            .open(circuit, std::move(faults), options.parallel,
-                  sim::SessionOptions{ndetect, options.untestable});
-    sim::Session& sim = *session;
+    gatesim::LevelizedFaultSimulator sim(circuit, std::move(faults),
+                                         options.parallel, ndetect,
+                                         options.untestable);
     gatesim::RandomPatternGenerator rng(options.seed);
     const support::RunBudget& budget = options.budget;
     const int backtrack_limit = budget.atpg_backtracks > 0

@@ -1,6 +1,7 @@
-// Full test-set generation driver: a random-pattern phase (PPSFP with fault
-// dropping) followed by deterministic PODEM for the remaining faults,
-// mirroring the paper's "first vectors random, last deterministic" setup.
+// Full test-set generation driver: a random-pattern phase (levelized
+// bit-parallel fault simulation with fault dropping) followed by
+// deterministic PODEM for the remaining faults, mirroring the paper's
+// "first vectors random, last deterministic" setup.
 //
 // With `ndetect > 1` a third phase tops the set up to an n-detection test
 // set (Pomeranz & Reddy): already-detected faults are re-targeted — with
@@ -17,7 +18,6 @@
 #include <string_view>
 
 #include "atpg/podem.h"
-#include "gatesim/engine.h"
 #include "parallel/parallel_for.h"
 #include "support/cancel.h"
 
@@ -44,9 +44,6 @@ struct TestGenOptions {
     int stale_blocks = 4;      ///< stop random phase after this many barren batches
     std::uint64_t seed = 1;
     int backtrack_limit = 4096;
-    /// Fault-sim engine for the embedded grading (sim::resolve_engine:
-    /// "" = DLPROJ_ENGINE, else the registry default).
-    std::string engine;
     /// Worker count for the embedded fault simulation (0 = default).
     parallel::ParallelOptions parallel;
     /// n-detection target: 1 generates the classic single-detection set

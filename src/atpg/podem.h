@@ -11,7 +11,8 @@
 #include <optional>
 
 #include "atpg/scoap.h"
-#include "gatesim/fault_sim.h"
+#include "gatesim/faults.h"
+#include "gatesim/logic_sim.h"
 #include "support/cancel.h"
 
 namespace dlp::atpg {

@@ -265,10 +265,6 @@ bool CampaignRunner::run_cell(std::size_t index, CampaignReport& rep,
 
     flow::ExperimentOptions opt;
     opt.target_yield = spec_.target_yield;
-    // Engine choice deliberately stays OUT of make_keys(): every
-    // registered engine is bit-identical, so artifacts written under one
-    // engine must be hit by every other.
-    opt.engine = options_.engine.empty() ? spec_.engine : options_.engine;
     opt.weighted = spec_.weighted;
     opt.defects = defects;
     opt.atpg = atpg_opts;

@@ -36,10 +36,6 @@ struct CampaignOptions {
     /// cell boundaries and forwarded into every cell's stages.  A stopped
     /// campaign commits nothing for the interrupted cell.
     support::RunBudget budget;
-    /// Fault-sim engine override (--engine): non-empty wins over the
-    /// spec's `engine =` key; both resolve through sim::resolve_engine.
-    /// Never part of artifact keys — engines are bit-identical.
-    std::string engine;
     /// Worker count within each cell (both fault simulators + ATPG).
     parallel::ParallelOptions parallel;
     /// Forwarded as each cell's ExperimentRunner progress observer; the

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "extract/rules_parser.h"
-#include "gatesim/engine.h"
 #include "model/defect_stats_model.h"
 #include "netlist/bench_parser.h"
 #include "netlist/builders.h"
@@ -173,11 +172,7 @@ CampaignSpec parse_campaign_spec(const std::string& text) {
                 spec.weighted = parse_bool(value, line);
             else if (key == "lint")
                 spec.lint = parse_bool(value, line);
-            else if (key == "engine") {
-                if (!sim::find_engine(value))
-                    fail(line, "unknown engine '" + value + "'");
-                spec.engine = value;
-            } else
+            else
                 fail(line, "unknown [campaign] key '" + key + "'");
         } else if (section == "grid") {
             if (key == "circuits")

@@ -56,10 +56,6 @@ struct CampaignSpec {
     bool weighted = true;        ///< false: unweighted ablation grid
     long long max_vectors = 0;   ///< per-cell vector budget (0 = unlimited)
     bool lint = true;            ///< per-cell static-analysis gate
-    /// Fault-sim engine for every cell (sim::Engine registry name; "" =
-    /// DLPROJ_ENGINE, else the registry default).  Engines are bit-
-    /// identical, so this never enters artifact cache keys.
-    std::string engine;
 
     // Grid axes (each must be non-empty; seeds/atpg/ndetect default to one
     // entry).

@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "gatesim/fault_sim.h"
 #include "model/dl_models.h"
 #include "model/yield.h"
 #include "obs/telemetry.h"
@@ -389,7 +388,6 @@ const ExperimentRunner::TestSet& ExperimentRunner::generate_tests() {
             if (!engine.ok()) fail_lint();
         }
         atpg::TestGenOptions atpg_opts = options_.atpg;
-        atpg_opts.engine = options_.engine;
         atpg_opts.parallel = options_.parallel;
         atpg_opts.budget = options_.budget;
         if (a) atpg_opts.untestable = a->untestable;
@@ -441,25 +439,23 @@ const ExperimentRunner::SimulationData& ExperimentRunner::simulate() {
         auto swfaults = to_switch_faults(p.extraction, p.chip, p.swnet);
         if (!options_.weighted)
             for (auto& f : swfaults) f.weight = 1.0;
-        const std::unique_ptr<sim::SwitchSession> swsim =
-            switchsim::open_switch_session(
-                sim::resolve_engine(options_.engine), sim,
-                std::move(swfaults), options_.parallel);
-        swsim->set_progress(progress_);
-        const auto ares = swsim->apply(
+        switchsim::SwitchFaultSimulator swsim(sim, std::move(swfaults),
+                                              options_.parallel);
+        swsim.set_progress(progress_);
+        const auto ares = swsim.apply(
             std::span<const switchsim::Vector>(t.tests.vectors),
             options_.budget);
         d.stop = ares.stop;
         d.vectors_done = static_cast<std::size_t>(ares.vectors_applied);
         d.vectors_total = t.tests.vectors.size();
-        d.theta_curve = CoverageCurve(swsim->weighted_coverage_curve());
-        d.gamma_curve = CoverageCurve(swsim->unweighted_coverage_curve());
+        d.theta_curve = CoverageCurve(swsim.weighted_coverage_curve());
+        d.gamma_curve = CoverageCurve(swsim.unweighted_coverage_curve());
         d.theta_iddq_curve =
-            CoverageCurve(swsim->weighted_coverage_curve_with_iddq());
-        d.first_detected_at.assign(swsim->first_detected_at().begin(),
-                                   swsim->first_detected_at().end());
-        d.iddq_detected_at.assign(swsim->iddq_detected_at().begin(),
-                                  swsim->iddq_detected_at().end());
+            CoverageCurve(swsim.weighted_coverage_curve_with_iddq());
+        d.first_detected_at.assign(swsim.first_detected_at().begin(),
+                                   swsim.first_detected_at().end());
+        d.iddq_detected_at.assign(swsim.iddq_detected_at().begin(),
+                                  swsim.iddq_detected_at().end());
         if (d.stop != support::StopReason::None)
             DLP_OBS_SPAN_NOTE(
                 stage_span,

@@ -34,11 +34,6 @@ using ProgressFn = parallel::ProgressFn;
 
 struct ExperimentOptions {
     double target_yield = 0.75;  ///< scale weights to this Y (0 = no scaling)
-    /// Fault-sim engine for both simulators, resolved through the
-    /// sim::Engine registry ("" = DLPROJ_ENGINE, else the registry
-    /// default).  Engines are bit-identical, so this is a pure performance
-    /// knob — it never changes any result.
-    std::string engine;
     atpg::TestGenOptions atpg;
     extract::DefectStatistics defects =
         extract::DefectStatistics::cmos_bridging_dominant();

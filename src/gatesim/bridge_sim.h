@@ -42,7 +42,8 @@ std::vector<bool> simulate_bridge(const Circuit& circuit,
                                   const GateBridgeFault& fault,
                                   bool* oscillated = nullptr);
 
-/// Sequence simulator with fault dropping, mirroring FaultSimulator.
+/// Sequence simulator with fault dropping, mirroring the stuck-at
+/// sim::Session.
 class GateBridgeSimulator {
 public:
     GateBridgeSimulator(const Circuit& circuit,

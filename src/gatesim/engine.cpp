@@ -1,18 +1,15 @@
 #include "gatesim/engine.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
-#include "gatesim/fault_sim.h"
 #include "gatesim/levelized.h"
 
 namespace dlp::sim {
 
 // ---- Session derived accessors -------------------------------------------
-// One definition shared by every engine, computed from the detection table,
+// One definition shared by both engines, computed from the detection table,
 // so curves cannot drift between implementations.
 
 std::size_t Session::detected_count() const {
@@ -55,23 +52,6 @@ std::vector<std::size_t> Session::undetected() const {
     return out;
 }
 
-// Base-class n-detection defaults: a target of 1, with the count table
-// derived from the first-detection table, so engines that only support the
-// classic drop-on-first-detection behavior need no override.
-
-std::vector<int> Session::detection_counts() const {
-    const auto table = first_detected_at();
-    std::vector<int> counts(table.size(), 0);
-    for (std::size_t i = 0; i < table.size(); ++i)
-        if (table[i] >= 0) counts[i] = 1;
-    return counts;
-}
-
-std::vector<int> Session::nth_detected_at() const {
-    const auto table = first_detected_at();
-    return std::vector<int>(table.begin(), table.end());
-}
-
 std::size_t Session::fully_detected_count() const {
     std::size_t n = 0;
     for (int at : nth_detected_at())
@@ -87,47 +67,10 @@ using gatesim::Circuit;
 using gatesim::StuckAtFault;
 using gatesim::Vector;
 
-/// Adapter: the PPSFP FaultSimulator behind the Session interface.  The
-/// "serial" engine is the same simulator pinned to one worker — it exists
-/// so benches and bug bisection can separate algorithm from threading.
-class PpsfpSession final : public Session {
-public:
-    PpsfpSession(const Circuit& circuit, std::vector<StuckAtFault> faults,
-                 parallel::ParallelOptions parallel, SessionOptions options)
-        : sim_(circuit, std::move(faults), parallel, options.ndetect,
-               std::move(options.untestable)) {}
-
-    std::span<const StuckAtFault> faults() const override {
-        return sim_.faults();
-    }
-    std::span<const int> first_detected_at() const override {
-        return sim_.first_detected_at();
-    }
-    int vectors_applied() const override { return sim_.vectors_applied(); }
-    support::ApplyResult apply(std::span<const Vector> vectors,
-                               const support::RunBudget& budget) override {
-        return sim_.apply(vectors, budget);
-    }
-    using Session::apply;
-
-    int ndetect_target() const override { return sim_.ndetect_target(); }
-    std::vector<int> detection_counts() const override {
-        const auto counts = sim_.detection_counts();
-        return std::vector<int>(counts.begin(), counts.end());
-    }
-    std::vector<int> nth_detected_at() const override {
-        const auto table = sim_.nth_detected_at();
-        return std::vector<int>(table.begin(), table.end());
-    }
-
-private:
-    gatesim::FaultSimulator sim_;
-};
-
 /// The reference oracle: scalar, one vector at a time, whole-circuit
-/// re-simulation per fault.  Shares nothing with the fast engines except
-/// the netlist IR, which is what makes it a meaningful differential
-/// baseline.  Same block/budget boundaries as every other engine, so
+/// re-simulation per fault.  Shares nothing with the levelized engine
+/// except the netlist IR, which is what makes it a meaningful differential
+/// baseline.  Same block/budget boundaries as the levelized engine, so
 /// interrupted runs are comparable too.  O(faults x vectors x gates) —
 /// test-sized circuits only.
 class NaiveSession final : public Session {
@@ -265,37 +208,6 @@ public:
     }
 };
 
-class SerialEngine final : public Engine {
-public:
-    std::string_view name() const override { return "serial"; }
-    std::string_view description() const override {
-        return "PPSFP suffix-walk simulator pinned to one worker";
-    }
-    std::unique_ptr<Session> open(
-        const Circuit& circuit, std::vector<StuckAtFault> faults,
-        parallel::ParallelOptions, SessionOptions options) const override {
-        return std::make_unique<PpsfpSession>(circuit, std::move(faults),
-                                              parallel::ParallelOptions{1},
-                                              options);
-    }
-};
-
-class PpsfpEngine final : public Engine {
-public:
-    std::string_view name() const override { return "ppsfp"; }
-    std::string_view description() const override {
-        return "thread-pooled PPSFP simulator (64 patterns/word, "
-               "suffix-walk cones)";
-    }
-    std::unique_ptr<Session> open(
-        const Circuit& circuit, std::vector<StuckAtFault> faults,
-        parallel::ParallelOptions parallel,
-        SessionOptions options) const override {
-        return std::make_unique<PpsfpSession>(circuit, std::move(faults),
-                                              parallel, options);
-    }
-};
-
 class LevelizedEngine final : public Engine {
 public:
     std::string_view name() const override { return "levelized"; }
@@ -313,70 +225,31 @@ public:
     }
 };
 
-// ---- Registry -------------------------------------------------------------
-
-struct Registry {
-    std::mutex mu;
-    std::vector<std::unique_ptr<Engine>> engines;
-
-    Registry() {
-        engines.push_back(std::make_unique<NaiveEngine>());
-        engines.push_back(std::make_unique<SerialEngine>());
-        engines.push_back(std::make_unique<PpsfpEngine>());
-        engines.push_back(std::make_unique<LevelizedEngine>());
-    }
-};
-
-Registry& registry() {
-    static Registry r;  // thread-safe init registers the builtins
-    return r;
+/// The fixed engine table, oracle first (function-local statics, so it is
+/// usable from other translation units' static initializers).
+std::span<const Engine* const> engines() {
+    static const NaiveEngine naive;
+    static const LevelizedEngine levelized;
+    static const Engine* const table[] = {&naive, &levelized};
+    return table;
 }
 
 }  // namespace
 
-void register_engine(std::unique_ptr<Engine> engine) {
-    if (!engine) throw std::invalid_argument("register_engine: null engine");
-    Registry& r = registry();
-    const std::scoped_lock lock(r.mu);
-    for (const auto& e : r.engines)
-        if (e->name() == engine->name())
-            throw std::invalid_argument(
-                "register_engine: duplicate engine name '" +
-                std::string(engine->name()) + "'");
-    r.engines.push_back(std::move(engine));
-}
-
 std::vector<std::string_view> engine_names() {
-    Registry& r = registry();
-    const std::scoped_lock lock(r.mu);
     std::vector<std::string_view> names;
-    names.reserve(r.engines.size());
-    for (const auto& e : r.engines) names.push_back(e->name());
+    for (const Engine* e : engines()) names.push_back(e->name());
     return names;
 }
 
-const Engine* find_engine(std::string_view name) {
-    Registry& r = registry();
-    const std::scoped_lock lock(r.mu);
-    for (const auto& e : r.engines)
-        if (e->name() == name) return e.get();  // engines are never removed
-    return nullptr;
-}
-
 const Engine& engine(std::string_view name) {
-    if (const Engine* e = find_engine(name)) return *e;
+    for (const Engine* e : engines())
+        if (e->name() == name) return *e;
     std::ostringstream msg;
-    msg << "unknown fault-sim engine '" << name << "' (registered:";
+    msg << "unknown fault-sim engine '" << name << "' (engines:";
     for (const auto n : engine_names()) msg << " " << n;
     msg << ")";
     throw std::invalid_argument(msg.str());
-}
-
-const Engine& resolve_engine(std::string_view name) {
-    if (!name.empty()) return engine(name);
-    if (const char* env = std::getenv("DLPROJ_ENGINE"); env && *env)
-        return engine(env);
-    return engine(kDefaultEngine);
 }
 
 }  // namespace dlp::sim

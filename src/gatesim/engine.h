@@ -1,39 +1,29 @@
-// Unified fault-simulation engine API (namespace dlp::sim).
+// Stuck-at fault-simulation engine API (namespace dlp::sim).
 //
-// With the simulators multiplying (naive scalar reference, serial
-// suffix-walk, thread-pooled PPSFP, levelized bit-parallel), every layer
-// that grades stuck-at coverage — ATPG test generation, vector compaction,
-// the experiment flow, campaigns, the CLIs — selects its simulator through
-// ONE interface: a named `Engine` in a process-wide registry opens a
-// `Session` bound to (circuit, fault list), and the session applies test
-// vectors under the standard budget/cancellation contract.
+// Two engines implement one `Session` contract: `naive`, a scalar
+// per-vector reference oracle, and `levelized`, the production engine
+// (gatesim::LevelizedFaultSimulator).  Production code — ATPG test
+// generation, vector compaction, the experiment flow — constructs the
+// levelized simulator directly; the fixed name table below exists for the
+// differential tests, the perf benches and the golden-corpus judge, which
+// pin both engines.
 //
-// The load-bearing invariant: every registered engine produces BIT-IDENTICAL
-// results — the same first-detection index per fault, hence byte-identical
-// coverage curves — for any vector sequence, worker count, and budget.
-// Engine identity is therefore a pure performance choice: campaign artifact
-// keys deliberately exclude it, so a cache warmed by one engine is hit by
-// every other (tests/test_campaign.cpp enforces this, and the differential
-// suite in tests/test_engine.cpp enforces cross-engine identity against the
-// naive oracle).
-//
-// Selection resolves in one place (resolve_engine): an explicit name
-// (campaign spec `engine =` key, dlproj_campaign --engine, an options
-// field) wins, else the DLPROJ_ENGINE environment variable, else the
-// default ("levelized").  Unknown names throw with the registered list.
+// The load-bearing invariant: both engines produce BIT-IDENTICAL results —
+// the same first-detection index per fault, hence byte-identical coverage
+// curves — for any vector sequence, worker count, and budget.  The
+// differential suite in tests/test_engine.cpp enforces it against the
+// naive oracle, and the golden digests under data/golden/ pin it.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "gatesim/faults.h"
 #include "gatesim/logic_sim.h"
 #include "parallel/parallel_for.h"
-#include "parallel/progress.h"
 #include "support/cancel.h"
 
 namespace dlp::sim {
@@ -66,9 +56,8 @@ struct SessionOptions {
 ///     number of blocks and everything recorded is a bit-identical prefix
 ///     of the unbounded run (see support/cancel.h).
 ///   * Results are independent of the worker count.
-///   * first_detected_at() — and, for engines that support n-detection,
-///     detection_counts() / nth_detected_at() — are bit-identical across
-///     engines.
+///   * first_detected_at(), detection_counts() and nth_detected_at() are
+///     bit-identical across engines.
 class Session {
 public:
     virtual ~Session() = default;
@@ -93,21 +82,19 @@ public:
     }
 
     // ---- n-detection accounting ------------------------------------------
-    // Defaults implement the classic target of 1, derived from the first-
-    // detection table, so single-detection engines need no override.
 
     /// The session's n-detection target (SessionOptions::ndetect).
-    virtual int ndetect_target() const { return 1; }
+    virtual int ndetect_target() const = 0;
 
     /// Per fault: number of detecting vector positions seen so far,
     /// saturated at ndetect_target().  Monotone in the applied prefix and
     /// (for a fixed sequence) in the target n.
-    virtual std::vector<int> detection_counts() const;
+    virtual std::vector<int> detection_counts() const = 0;
 
     /// Per fault: 1-based index of the vector at which the detection count
     /// reached ndetect_target(); -1 while still below target.  Equals
     /// first_detected_at() when the target is 1.
-    virtual std::vector<int> nth_detected_at() const;
+    virtual std::vector<int> nth_detected_at() const = 0;
 
     // Derived accessors, computed from the detection table so every engine
     // shares one definition.
@@ -122,42 +109,20 @@ public:
     std::size_t fully_detected_count() const;
 };
 
-/// Switch-level (realistic-defect) session: the interface the experiment
-/// flow drives.  There is exactly one switch-level implementation today
-/// (switchsim::SwitchFaultSimulator) and it is shared by all engines — the
-/// seam exists so flow::ExperimentRunner never constructs a simulator
-/// directly and a future engine can specialize the switch-level path; see
-/// switchsim::open_switch_session().
-class SwitchSession {
-public:
-    virtual ~SwitchSession() = default;
-
-    virtual support::ApplyResult apply(
-        std::span<const gatesim::Vector> vectors,
-        const support::RunBudget& budget) = 0;
-
-    virtual std::span<const int> first_detected_at() const = 0;
-    virtual std::span<const int> iddq_detected_at() const = 0;
-    virtual std::vector<double> weighted_coverage_curve() const = 0;
-    virtual std::vector<double> unweighted_coverage_curve() const = 0;
-    virtual std::vector<double> weighted_coverage_curve_with_iddq() const = 0;
-    virtual void set_progress(parallel::ProgressFn progress) = 0;
-};
-
 /// A named fault-simulation engine: a factory for Sessions.
 class Engine {
 public:
     virtual ~Engine() = default;
 
-    /// Registry name (stable, lowercase; "levelized", "ppsfp", ...).
+    /// Stable lowercase name: "naive" or "levelized".
     virtual std::string_view name() const = 0;
-    /// One-line description for --help output and docs.
+    /// One-line description for benches and docs.
     virtual std::string_view description() const = 0;
 
     /// Opens a session.  `circuit` must outlive the session; `parallel` is
-    /// the worker-count request for engines that use the shared pool
-    /// (serial engines ignore it; results never depend on it).  `options`
-    /// carries per-session knobs such as the n-detection target.
+    /// the worker-count request for the shared pool (the oracle ignores
+    /// it; results never depend on it).  `options` carries per-session
+    /// knobs such as the n-detection target.
     virtual std::unique_ptr<Session> open(
         const gatesim::Circuit& circuit,
         std::vector<gatesim::StuckAtFault> faults,
@@ -165,27 +130,11 @@ public:
         SessionOptions options = {}) const = 0;
 };
 
-/// Registry default when neither an explicit name nor DLPROJ_ENGINE is set.
-inline constexpr std::string_view kDefaultEngine = "levelized";
-
-/// Registers an engine; throws std::invalid_argument on a duplicate name.
-/// The built-in engines (naive, serial, ppsfp, levelized) are registered
-/// on first registry access.
-void register_engine(std::unique_ptr<Engine> engine);
-
-/// Registered engine names, in registration order (built-ins first).
+/// Engine names, oracle first: {"naive", "levelized"}.
 std::vector<std::string_view> engine_names();
 
-/// The engine registered under `name`; nullptr when unknown.
-const Engine* find_engine(std::string_view name);
-
-/// The engine registered under `name`; throws std::invalid_argument naming
-/// the registered engines when unknown.
+/// The engine named `name`; throws std::invalid_argument naming both
+/// engines when unknown.
 const Engine& engine(std::string_view name);
-
-/// One-stop selection: a non-empty `name` wins, else the DLPROJ_ENGINE
-/// environment variable, else kDefaultEngine.  Throws like engine() on an
-/// unknown name (including an unknown DLPROJ_ENGINE value).
-const Engine& resolve_engine(std::string_view name = {});
 
 }  // namespace dlp::sim

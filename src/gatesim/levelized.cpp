@@ -304,8 +304,8 @@ support::ApplyResult LevelizedFaultSimulator::apply(
     const std::size_t grain = std::max<std::size_t>(
         16, faults_.size() / (static_cast<std::size_t>(workers) * 8));
 
-    // Same telemetry surface as the PPSFP engine (counted at block
-    // boundaries → thread-count-invariant), plus the engine's own span.
+    // Gate-level telemetry (counted at block boundaries →
+    // thread-count-invariant), plus the engine's own span.
     DLP_OBS_SPAN(apply_span, "gatesim.levelized.apply");
     DLP_OBS_COUNTER(c_vectors, "faultsim.gate.vectors");
     DLP_OBS_COUNTER(c_blocks, "faultsim.gate.blocks");
@@ -339,8 +339,7 @@ support::ApplyResult LevelizedFaultSimulator::apply(
                         continue;  // statically proven undetectable
                     const StuckAtFault& fault = faults_[fi];
                     if (fault.is_stem()) {
-                        // Not excited in any valid lane: no propagation
-                        // (mirrors the PPSFP excitation shortcut).
+                        // Not excited in any valid lane: no propagation.
                         const std::uint64_t stuck_word =
                             fault.stuck_value ? ~0ULL : 0ULL;
                         if (((stuck_word ^ good[fault.net]) & lane_mask) == 0)
@@ -349,8 +348,8 @@ support::ApplyResult LevelizedFaultSimulator::apply(
                     const std::uint64_t diff =
                         propagate(fi, s, good) & lane_mask;
                     if (diff != 0) {
-                        // Same accounting as the PPSFP engine: every set
-                        // lane is one detecting vector position; the count
+                        // Every set lane is one detecting vector
+                        // position (as in the naive oracle); the count
                         // saturates at the target and the target-reaching
                         // lane is the `need`-th set bit of diff.
                         const int block_base =

@@ -14,12 +14,12 @@
 // push reader gates through the CSR fanout lists, evaluate strictly in
 // level order (a gate's fanins are all at lower levels, so one evaluation
 // per gate suffices), and stop where the faulty words reconverge with the
-// good machine — instead of re-evaluating the whole topological suffix the
-// way the PPSFP engine does.  Per-fault state is epoch-stamped, so setup
-// cost per fault is O(cone), not O(nets).
+// good machine — instead of re-evaluating the whole topological suffix.
+// Per-fault state is epoch-stamped, so setup cost per fault is O(cone),
+// not O(nets).
 //
-// Detection semantics are bit-identical to gatesim::FaultSimulator (and
-// the naive oracle): same block boundaries, same budget checks, same
+// Detection semantics are bit-identical to the naive oracle
+// (sim::engine("naive")): same block boundaries, same budget checks, same
 // first-detection lane per fault, per-block fault dropping.
 #pragma once
 
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "gatesim/engine.h"
-#include "gatesim/fault_sim.h"
 
 namespace dlp::gatesim {
 
@@ -86,7 +85,8 @@ void simulate_block_levelized(const LevelizedCircuit& lc,
                               std::vector<std::uint64_t>& words,
                               parallel::ParallelOptions parallel = {});
 
-/// The levelized engine session; also usable directly (bench, tests).
+/// The levelized engine session: the production fault simulator, which
+/// ATPG, compaction and the flow construct directly.
 class LevelizedFaultSimulator final : public sim::Session {
 public:
     /// `ndetect` is the n-detection target: a fault is dropped only after

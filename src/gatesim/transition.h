@@ -16,7 +16,8 @@
 #include <span>
 #include <vector>
 
-#include "gatesim/fault_sim.h"
+#include "gatesim/faults.h"
+#include "gatesim/logic_sim.h"
 
 namespace dlp::gatesim {
 

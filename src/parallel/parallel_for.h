@@ -11,9 +11,10 @@
 // bit-identical for any worker count.
 //
 // Concurrency model: the shared pool hosts ONE top-level region at a time.
-// Regions opened while another is running on the same thread execute
-// serially inline (correct, just not nested-parallel); opening top-level
-// regions from two unrelated threads concurrently is not supported.
+// A region opened while another is running — nested on the same thread, or
+// from an unrelated thread — executes serially inline on its caller
+// (correct, just not parallel), so any number of threads may call
+// parallel_for concurrently.
 //
 // Telemetry: a region that actually goes parallel records a
 // "parallel_for" span plus parallel.regions/chunks/steals and pool.*

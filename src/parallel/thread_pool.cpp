@@ -25,13 +25,17 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::run(int participants, const std::function<void(int)>& job) {
-    if (participants <= 1 || tl_in_region) {
+    const auto run_inline = [&] {
         const bool prev = tl_in_region;
         tl_in_region = true;
         job(0);
         tl_in_region = prev;
-        return;
-    }
+    };
+    if (participants <= 1 || tl_in_region) return run_inline();
+    // One region at a time: the job_/remaining_/generation_ slot below is
+    // shared by every helper.
+    std::unique_lock<std::mutex> region(region_mu_, std::try_to_lock);
+    if (!region.owns_lock()) return run_inline();
     {
         std::lock_guard<std::mutex> lock(mu_);
         while (static_cast<int>(helpers_.size()) < participants - 1) {

@@ -6,7 +6,9 @@
 //
 // Worker 0 is always the calling thread; a region with `participants == 1`
 // (or one opened from inside another region) runs entirely inline, which is
-// what makes the serial path and the nested case trivially correct.
+// what makes the serial path and the nested case trivially correct.  The
+// pool hosts one region at a time: a top-level caller that finds it busy
+// (another thread's region is running) also runs inline.
 #pragma once
 
 #include <condition_variable>
@@ -25,7 +27,8 @@ public:
 
     /// Runs job(worker) for worker = 0..participants-1, worker 0 on the
     /// calling thread, and blocks until every participant returns.  Calls
-    /// from inside a running region execute job(0) inline (no deadlock, and
+    /// from inside a running region, and calls made while another thread
+    /// holds the pool, execute job(0) inline (no deadlock, and
     /// work-stealing loops still cover the whole range from one worker).
     /// `job` must not throw; parallel_for converts exceptions before here.
     void run(int participants, const std::function<void(int)>& job);
@@ -41,6 +44,7 @@ private:
     ThreadPool() = default;
     void helper_loop(int worker_id);
 
+    std::mutex region_mu_;  ///< held by the thread whose region is running
     std::mutex mu_;
     std::condition_variable cv_start_;
     std::condition_variable cv_done_;

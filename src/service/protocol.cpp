@@ -82,7 +82,6 @@ Request parse_request(std::string_view payload) {
     r.deadline_ms = require_range(doc, "deadline_ms", 0, 0, kMaxMs);
     r.max_vectors =
         require_range(doc, "max_vectors", -1, -1, (1ll << 40));
-    r.engine = doc.str_or("engine", "");
     r.threads =
         static_cast<int>(require_range(doc, "threads", 0, 0, 256));
     r.progress = doc.bool_or("progress", false);
@@ -120,7 +119,6 @@ std::string request_json(const Request& r) {
     if (r.deadline_ms > 0) doc.set("deadline_ms", Json::number(r.deadline_ms));
     if (r.max_vectors >= 0)
         doc.set("max_vectors", Json::number(r.max_vectors));
-    if (!r.engine.empty()) doc.set("engine", Json::string(r.engine));
     if (r.threads > 0)
         doc.set("threads", Json::number(static_cast<long long>(r.threads)));
     if (r.progress) doc.set("progress", Json::boolean(true));

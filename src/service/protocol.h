@@ -17,7 +17,6 @@
 //   deadline_ms     per-request wall-clock budget from the moment of
 //                   admission; the watchdog cancels the run past it
 //   max_vectors     per-cell vector budget override (-1 = spec's own)
-//   engine          fault-sim engine name (registry-validated)
 //   threads         worker threads inside the run (0 = server default)
 //   progress        true: stream progress event frames
 //   linger_ms       diagnostic: hold the worker this long before replying
@@ -89,7 +88,6 @@ struct Request {
     std::string idempotency_key;
     long long deadline_ms = 0;   ///< 0 = server default (possibly none)
     long long max_vectors = -1;  ///< <0 = keep the spec's value
-    std::string engine;
     int threads = 0;
     bool progress = false;
     long long linger_ms = 0;

@@ -7,7 +7,6 @@
 #include "campaign/report.h"
 #include "campaign/runner.h"
 #include "campaign/spec.h"
-#include "gatesim/engine.h"
 #include "model/defect_stats_model.h"
 #include "obs/telemetry.h"
 #include "support/env.h"
@@ -444,16 +443,11 @@ void Service::execute_run(const Request& request, int fd) {
                         .describe()};
         }
         if (request.max_vectors >= 0) spec.max_vectors = request.max_vectors;
-        const std::string engine =
-            request.engine.empty() ? config_.engine : request.engine;
-        if (!engine.empty() && !sim::find_engine(engine))
-            throw ProtocolError("unknown engine \"" + engine + "\"");
 
         campaign::CampaignOptions opt;
         opt.cache_dir = config_.cache_dir;
         opt.use_cache = !config_.cache_dir.empty();
         opt.budget = budget;
-        opt.engine = engine;
         opt.parallel.threads =
             request.threads > 0 ? request.threads : config_.cell_threads;
         if (request.progress) {

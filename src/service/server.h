@@ -64,7 +64,6 @@ struct ServiceConfig {
     int io_timeout_ms = 5000;     ///< per-frame read/write bound
     long long drain_ms = 2000;    ///< grace for in-flight work in stop()
     std::string cache_dir;        ///< shared artifact store ("" = none)
-    std::string engine;           ///< default fault-sim engine override
     int cell_threads = 0;         ///< per-run worker threads (0 = default)
     std::size_t idempotency_capacity = 256;  ///< replay-cache bound
 };

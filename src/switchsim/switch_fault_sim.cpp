@@ -455,12 +455,4 @@ std::vector<double> SwitchFaultSimulator::unweighted_coverage_curve() const {
     return curve;
 }
 
-std::unique_ptr<sim::SwitchSession> open_switch_session(
-    const sim::Engine& engine, const SwitchSim& sim,
-    std::vector<WeightedFault> faults, parallel::ParallelOptions parallel) {
-    (void)engine;  // one shared switch-level implementation today
-    return std::make_unique<SwitchFaultSimulator>(sim, std::move(faults),
-                                                  parallel);
-}
-
 }  // namespace dlp::switchsim

@@ -22,10 +22,10 @@
 // path for any worker count.
 #pragma once
 
-#include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
-#include "gatesim/engine.h"
 #include "parallel/parallel_for.h"
 #include "parallel/progress.h"
 #include "support/cancel.h"
@@ -42,7 +42,7 @@ struct WeightedFault {
     std::string name;
 };
 
-class SwitchFaultSimulator final : public sim::SwitchSession {
+class SwitchFaultSimulator {
 public:
     SwitchFaultSimulator(const SwitchSim& sim,
                          std::vector<WeightedFault> faults,
@@ -54,7 +54,7 @@ public:
     }
     /// Observer called after each simulated vector batch (stage
     /// "switch-sim", done/total in vectors), from the coordinating thread.
-    void set_progress(parallel::ProgressFn progress) override {
+    void set_progress(parallel::ProgressFn progress) {
         progress_ = std::move(progress);
     }
 
@@ -68,10 +68,10 @@ public:
     /// indices, charge-retention divergence, coverage curves) is a
     /// bit-identical prefix of the unbounded run's.
     support::ApplyResult apply(std::span<const Vector> vectors,
-                               const support::RunBudget& budget) override;
+                               const support::RunBudget& budget);
 
     std::span<const WeightedFault> faults() const { return faults_; }
-    std::span<const int> first_detected_at() const override {
+    std::span<const int> first_detected_at() const {
         return detected_at_;
     }
 
@@ -80,7 +80,7 @@ public:
     /// conducts statically and raises IDDQ, independent of any logic flip.
     /// Opens have no current signature (-1).  This implements the paper's
     /// conclusion that current testing must complement voltage testing.
-    std::span<const int> iddq_detected_at() const override {
+    std::span<const int> iddq_detected_at() const {
         return iddq_at_;
     }
 
@@ -91,11 +91,11 @@ public:
     double unweighted_coverage() const;  ///< Gamma after all vectors
 
     /// theta(k) for k = 1..vectors_applied().
-    std::vector<double> weighted_coverage_curve() const override;
+    std::vector<double> weighted_coverage_curve() const;
     /// Gamma(k) for k = 1..vectors_applied().
-    std::vector<double> unweighted_coverage_curve() const override;
+    std::vector<double> unweighted_coverage_curve() const;
     /// theta(k) when voltage and IDDQ detection are combined.
-    std::vector<double> weighted_coverage_curve_with_iddq() const override;
+    std::vector<double> weighted_coverage_curve_with_iddq() const;
 
 private:
     struct PerFault {
@@ -135,15 +135,5 @@ private:
     parallel::ParallelOptions parallel_;
     parallel::ProgressFn progress_;
 };
-
-/// Opens the switch-level session for `engine`.  Every registered engine
-/// currently shares the one sparse-divergence implementation above (the
-/// engines differ at the gate level only), but the flow goes through this
-/// seam so simulator construction happens in exactly one place and a future
-/// engine can specialize the switch-level path.
-std::unique_ptr<sim::SwitchSession> open_switch_session(
-    const sim::Engine& engine, const SwitchSim& sim,
-    std::vector<WeightedFault> faults,
-    parallel::ParallelOptions parallel = {});
 
 }  // namespace dlp::switchsim

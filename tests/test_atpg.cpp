@@ -4,6 +4,7 @@
 #include "atpg/generate.h"
 #include "atpg/compaction.h"
 #include "atpg/transition_tpg.h"
+#include "gatesim/levelized.h"
 #include "gatesim/patterns.h"
 #include "netlist/builders.h"
 #include "netlist/techmap.h"
@@ -52,9 +53,9 @@ TEST(Scoap, XorCosts) {
 /// Checks a PODEM-generated vector really detects the fault.
 void expect_detects(const Circuit& c, const StuckAtFault& f,
                     const Vector& test) {
-    std::vector<Vector> one{test};
-    const auto det = gatesim::run_fault_simulation(c, std::span(&f, 1), one);
-    EXPECT_EQ(det[0], 1) << "vector does not detect "
+    gatesim::LevelizedFaultSimulator sim(c, {f});
+    sim.apply(std::span(&test, 1));
+    EXPECT_EQ(sim.first_detected_at()[0], 1) << "vector does not detect "
                          << gatesim::fault_name(c, f);
 }
 
@@ -231,9 +232,9 @@ TEST(Compaction, PreservesCoverageAndShrinks) {
     EXPECT_EQ(compact.kept, compact.vectors.size());
 
     // Coverage of the compacted set equals the original detected count.
-    gatesim::FaultSimulator before(c, faults);
+    gatesim::LevelizedFaultSimulator before(c, faults);
     before.apply(res.vectors);
-    gatesim::FaultSimulator after(c, faults);
+    gatesim::LevelizedFaultSimulator after(c, faults);
     after.apply(compact.vectors);
     EXPECT_EQ(after.detected_count(), before.detected_count());
 }

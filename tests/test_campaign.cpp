@@ -333,51 +333,23 @@ TEST(CampaignCache, UncachedRunsMatchCachedContent) {
     EXPECT_EQ(report_json(a), report_json(b));
 }
 
-TEST(CampaignCache, EngineAgnosticKeysWarmAcrossEngines) {
-    // Artifact keys deliberately exclude the engine: every registered
-    // engine is bit-identical, so a cache warmed by `ppsfp` must be hit —
-    // and produce the byte-identical report — under `levelized`.
-    const CampaignSpec spec = parse_campaign_spec(kSmallSpec);
-    const std::string cache = scratch_dir("xengine");
-
-    CampaignOptions cold_opt = cached_options(cache);
-    cold_opt.engine = "ppsfp";
-    const CampaignReport cold = run_campaign(spec, cold_opt);
-    EXPECT_EQ(cold.stats.cell_misses, 4u);
-
-    CampaignOptions warm_opt = cached_options(cache);
-    warm_opt.engine = "levelized";
-    const CampaignReport warm = run_campaign(spec, warm_opt);
-    EXPECT_EQ(warm.stats.cell_hits, 4u);
-    EXPECT_EQ(warm.stats.cell_misses, 0u);
-    EXPECT_EQ(report_json(warm), report_json(cold));
-
-    // And the other way around, cold-to-cold: the engines compute the
-    // byte-identical artifacts in the first place.
-    CampaignOptions fresh = cached_options(scratch_dir("xengine2"));
-    fresh.engine = "levelized";
-    const CampaignReport lev_cold = run_campaign(spec, fresh);
-    EXPECT_EQ(lev_cold.stats.cell_misses, 4u);
-    EXPECT_EQ(report_json(lev_cold), report_json(cold));
-}
-
-TEST(CampaignSpec, EngineKeySelectsARegisteredEngine) {
-    const CampaignSpec s = parse_campaign_spec(
-        "[campaign]\n"
-        "engine = levelized\n"
-        "[grid]\n"
-        "circuits = c17\n"
-        "rules = uniform\n");
-    EXPECT_EQ(s.engine, "levelized");
-    EXPECT_EQ(parse_campaign_spec("[grid]\ncircuits = c17\nrules = uniform\n")
-                  .engine,
-              "");  // empty = DLPROJ_ENGINE / registry default
-    EXPECT_THROW(parse_campaign_spec("[campaign]\n"
-                                     "engine = warp9\n"
-                                     "[grid]\n"
-                                     "circuits = c17\n"
-                                     "rules = uniform\n"),
-                 std::runtime_error);
+TEST(CampaignSpec, EngineKeyIsAnUnknownKey) {
+    // Fault-sim engines are bit-identical and production always grades
+    // with the levelized engine, so a spec cannot pick one: `engine =` is
+    // rejected like any other unknown [campaign] key.
+    try {
+        parse_campaign_spec("[campaign]\n"
+                            "engine = levelized\n"
+                            "[grid]\n"
+                            "circuits = c17\n"
+                            "rules = uniform\n");
+        FAIL() << "expected the engine key to be rejected";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("unknown [campaign] key 'engine'"),
+                  std::string::npos)
+            << what;
+    }
 }
 
 TEST(CampaignCache, ShardedRunsMergeToUnshardedReport) {

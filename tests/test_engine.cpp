@@ -1,19 +1,19 @@
 // The engine differential suite (CTest label `engine`).
 //
-// Every engine registered with sim::register_engine promises bit-identical
-// results: the same first-detection index per fault — hence byte-identical
-// coverage curves — for any vector sequence, worker count, and budget.
+// Both engines (the naive oracle and the production levelized engine)
+// promise bit-identical results: the same first-detection index per
+// fault — hence byte-identical coverage curves — for any vector
+// sequence, worker count, and budget.
 // This suite enforces the promise against the naive scalar oracle over
 // c17, c432, and 50 seeded random circuits, including 64-vector block
 // boundaries and mid-run budget stops, plus the levelized compiler's IR
-// invariants and the registry/selection API itself.
+// invariants and the fixed engine table itself.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
+#include <stdexcept>
 
 #include "gatesim/engine.h"
-#include "gatesim/fault_sim.h"
 #include "gatesim/levelized.h"
 #include "gatesim/patterns.h"
 #include "netlist/builders.h"
@@ -34,60 +34,31 @@ std::vector<StuckAtFault> copy_faults(std::span<const StuckAtFault> faults) {
     return {faults.begin(), faults.end()};
 }
 
-// ---- registry & selection -------------------------------------------------
+// ---- the engine table ----------------------------------------------------
 
-TEST(EngineRegistry, BuiltinsRegisteredInOrder) {
+TEST(EngineTable, OracleThenLevelized) {
     const auto names = sim::engine_names();
-    ASSERT_GE(names.size(), 4u);
+    ASSERT_EQ(names.size(), 2u);
     EXPECT_EQ(names[0], "naive");
-    EXPECT_EQ(names[1], "serial");
-    EXPECT_EQ(names[2], "ppsfp");
-    EXPECT_EQ(names[3], "levelized");
+    EXPECT_EQ(names[1], "levelized");
     for (const auto name : names) {
-        const sim::Engine* e = sim::find_engine(name);
-        ASSERT_NE(e, nullptr);
-        EXPECT_EQ(e->name(), name);
-        EXPECT_FALSE(e->description().empty());
+        const sim::Engine& e = sim::engine(name);
+        EXPECT_EQ(e.name(), name);
+        EXPECT_FALSE(e.description().empty());
     }
 }
 
-TEST(EngineRegistry, UnknownNamesAreErrors) {
-    EXPECT_EQ(sim::find_engine("bogus"), nullptr);
-    try {
-        sim::engine("bogus");
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-        // The message lists the registered engines for discoverability.
-        EXPECT_NE(std::string(e.what()).find("levelized"), std::string::npos);
-    }
-}
-
-TEST(EngineRegistry, DuplicateRegistrationThrows) {
-    class Fake : public sim::Engine {
-        std::string_view name() const override { return "levelized"; }
-        std::string_view description() const override { return "dup"; }
-        std::unique_ptr<sim::Session> open(
-            const Circuit&, std::vector<StuckAtFault>,
-            parallel::ParallelOptions, sim::SessionOptions) const override {
-            return nullptr;
+TEST(EngineTable, UnknownNamesAreErrors) {
+    for (const char* gone : {"bogus", "serial", "ppsfp"}) {
+        try {
+            sim::engine(gone);
+            FAIL() << "expected std::invalid_argument for " << gone;
+        } catch (const std::invalid_argument& e) {
+            // The message lists the engines for discoverability.
+            EXPECT_NE(std::string(e.what()).find("levelized"),
+                      std::string::npos);
         }
-    };
-    EXPECT_THROW(sim::register_engine(std::make_unique<Fake>()),
-                 std::invalid_argument);
-    EXPECT_THROW(sim::register_engine(nullptr), std::invalid_argument);
-}
-
-TEST(EngineRegistry, ResolutionPrecedence) {
-    // Explicit name > DLPROJ_ENGINE > kDefaultEngine.
-    ::unsetenv("DLPROJ_ENGINE");
-    EXPECT_EQ(sim::resolve_engine().name(), sim::kDefaultEngine);
-    EXPECT_EQ(sim::resolve_engine("serial").name(), "serial");
-    ::setenv("DLPROJ_ENGINE", "ppsfp", 1);
-    EXPECT_EQ(sim::resolve_engine().name(), "ppsfp");
-    EXPECT_EQ(sim::resolve_engine("naive").name(), "naive");
-    ::setenv("DLPROJ_ENGINE", "no-such-engine", 1);
-    EXPECT_THROW(sim::resolve_engine(), std::invalid_argument);
-    ::unsetenv("DLPROJ_ENGINE");
+    }
 }
 
 // ---- the levelized compiler ----------------------------------------------
@@ -149,7 +120,7 @@ TEST(Levelize, GoodMachineMatchesReferenceSimulation) {
 
 // ---- cross-engine bit-identity -------------------------------------------
 
-/// Applies `vectors` through every registered engine and asserts detection
+/// Applies `vectors` through the levelized engine and asserts detection
 /// tables and coverage curves byte-identical to the naive oracle's.
 void expect_engines_match_naive(const Circuit& c,
                                 std::span<const StuckAtFault> faults,
@@ -168,8 +139,8 @@ void expect_engines_match_naive(const Circuit& c,
             ASSERT_EQ(s->first_detected_at()[i], ref_table[i])
                 << what << ": engine " << name << ", fault "
                 << gatesim::fault_name(c, faults[i]);
-        // Curves derive from the table, but compare them too: this is the
-        // artifact the campaign cache shares across engines.
+        // Curves derive from the table, but compare them too: they are
+        // what the flow and the campaign reports consume.
         ASSERT_EQ(s->coverage_curve(), ref_curve)
             << what << ": engine " << name;
         ASSERT_EQ(s->vectors_applied(), oracle->vectors_applied());
@@ -224,17 +195,16 @@ TEST(EngineDifferential, BlockBoundaryVectorCounts) {
     }
 }
 
-TEST(EngineDifferential, LevelizedMatchesPpsfpAtScale) {
-    // A deeper workout than the naive oracle can afford: 300 gates, 256
-    // vectors, PPSFP (itself differentially verified above and in
-    // test_gatesim) as the reference.
+TEST(EngineDifferential, LevelizedMatchesNaiveAtScale) {
+    // A deeper workout than the small-circuit sweeps above: 300 gates and
+    // 256 vectors (four pattern blocks) against the naive oracle.
     const Circuit c = build_random_circuit(16, 300, 99);
     const auto faults =
         gatesim::collapse_faults(c, gatesim::full_fault_universe(c));
     RandomPatternGenerator rng(99);
     const auto vectors = rng.vectors(c, 256);
 
-    const auto ref = sim::engine("ppsfp").open(c, copy_faults(faults));
+    const auto ref = sim::engine("naive").open(c, copy_faults(faults));
     ref->apply(std::span<const Vector>(vectors));
     const auto lev = sim::engine("levelized").open(c, copy_faults(faults));
     lev->apply(std::span<const Vector>(vectors));
@@ -329,23 +299,24 @@ TEST(EngineBudget, WorkerCountInvariance) {
 
 // ---- Session convenience accessors ---------------------------------------
 
-TEST(EngineSession, DerivedAccessorsMatchFaultSimulator) {
-    // The Session-computed curve must equal the FaultSimulator's own.
+TEST(EngineSession, DerivedAccessorsMatchNaive) {
+    // The Session-derived accessors agree between the two engines.
     const Circuit c = build_c432();
     const auto faults =
         gatesim::collapse_faults(c, gatesim::full_fault_universe(c));
     RandomPatternGenerator rng(3);
     const auto vectors = rng.vectors(c, 100);
 
-    gatesim::FaultSimulator direct(c, copy_faults(faults));
-    direct.apply(std::span<const Vector>(vectors));
-    const auto session = sim::engine("ppsfp").open(c, copy_faults(faults));
-    session->apply(std::span<const Vector>(vectors));
+    const auto naive = sim::engine("naive").open(c, copy_faults(faults));
+    naive->apply(std::span<const Vector>(vectors));
+    gatesim::LevelizedFaultSimulator lev(c, copy_faults(faults));
+    lev.apply(std::span<const Vector>(vectors));
 
-    EXPECT_EQ(session->detected_count(), direct.detected_count());
-    EXPECT_EQ(session->coverage(), direct.coverage());
-    EXPECT_EQ(session->coverage_curve(), direct.coverage_curve());
-    EXPECT_EQ(session->undetected(), direct.undetected());
+    EXPECT_EQ(lev.detected_count(), naive->detected_count());
+    EXPECT_EQ(lev.coverage(), naive->coverage());
+    EXPECT_EQ(lev.coverage_curve(), naive->coverage_curve());
+    EXPECT_EQ(lev.undetected(), naive->undetected());
+    EXPECT_EQ(lev.fully_detected_count(), naive->fully_detected_count());
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // Tests for parallel-pattern logic simulation, the stuck-at fault universe,
-// fault collapsing and the PPSFP fault simulator.
+// fault collapsing and the levelized stuck-at fault simulator.
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "gatesim/fault_sim.h"
 #include "gatesim/bist.h"
 #include "gatesim/bridge_sim.h"
+#include "gatesim/levelized.h"
 #include "gatesim/timing.h"
 #include "gatesim/transition.h"
 #include "gatesim/patterns.h"
@@ -21,6 +21,16 @@ using netlist::build_parity_tree;
 using netlist::build_ripple_adder;
 using netlist::Circuit;
 using netlist::GateType;
+
+/// One-shot stuck-at fault simulation: the first-detection table of
+/// `vectors` applied in sequence.
+std::vector<int> first_detections(const Circuit& circuit,
+                                  std::span<const StuckAtFault> faults,
+                                  std::span<const Vector> vectors) {
+    LevelizedFaultSimulator sim(circuit, {faults.begin(), faults.end()});
+    sim.apply(vectors);
+    return {sim.first_detected_at().begin(), sim.first_detected_at().end()};
+}
 
 TEST(LogicSim, ScalarMatchesParallel) {
     const Circuit c = build_c432();
@@ -77,7 +87,7 @@ TEST(FaultSim, DetectsInjectedStuckAtOnC17) {
         for (int b = 0; b < 5; ++b) v[static_cast<size_t>(b)] = (i >> b) & 1;
         vectors.push_back(v);
     }
-    FaultSimulator sim(c, collapse_faults(c, full_fault_universe(c)));
+    LevelizedFaultSimulator sim(c, collapse_faults(c, full_fault_universe(c)));
     sim.apply(vectors);
     EXPECT_DOUBLE_EQ(sim.coverage(), 1.0);  // c17 has no redundant faults
 }
@@ -85,7 +95,7 @@ TEST(FaultSim, DetectsInjectedStuckAtOnC17) {
 TEST(FaultSim, CoverageCurveIsMonotone) {
     const Circuit c = build_c432();
     RandomPatternGenerator rng(11);
-    FaultSimulator sim(c, collapse_faults(c, full_fault_universe(c)));
+    LevelizedFaultSimulator sim(c, collapse_faults(c, full_fault_universe(c)));
     sim.apply(rng.vectors(c, 256));
     const auto curve = sim.coverage_curve();
     ASSERT_EQ(curve.size(), 256u);
@@ -98,7 +108,7 @@ TEST(FaultSim, CoverageCurveIsMonotone) {
 TEST(FaultSim, FirstDetectionIndicesAreOneBasedAndOrdered) {
     const Circuit c = build_c17();
     RandomPatternGenerator rng(1);
-    FaultSimulator sim(c, collapse_faults(c, full_fault_universe(c)));
+    LevelizedFaultSimulator sim(c, collapse_faults(c, full_fault_universe(c)));
     const auto vectors = rng.vectors(c, 64);
     sim.apply(vectors);
     for (int at : sim.first_detected_at()) {
@@ -114,10 +124,10 @@ TEST(FaultSim, IncrementalApplyMatchesOneShot) {
     const auto vectors = rng.vectors(c, 100);
     const auto faults = collapse_faults(c, full_fault_universe(c));
 
-    FaultSimulator once(c, faults);
+    LevelizedFaultSimulator once(c, faults);
     once.apply(vectors);
 
-    FaultSimulator chunked(c, faults);
+    LevelizedFaultSimulator chunked(c, faults);
     chunked.apply(std::span(vectors).subspan(0, 37));
     chunked.apply(std::span(vectors).subspan(37, 41));
     chunked.apply(std::span(vectors).subspan(78));
@@ -140,7 +150,7 @@ TEST(FaultSim, BranchFaultDiffersFromStem) {
 
     const StuckAtFault branch{s, y1, 0, true};
     std::vector<Vector> v0{Vector{false}};
-    const auto det = run_fault_simulation(c, std::span(&branch, 1), v0);
+    const auto det = first_detections(c, std::span(&branch, 1), v0);
     EXPECT_EQ(det[0], 1);  // s=0: y1 good=1, faulty=NOT(1)=0 -> detected
     (void)y2;
 }
@@ -154,7 +164,7 @@ TEST(FaultSim, UndetectableRedundantFaultStaysUndetected) {
     c.mark_output(y);
     const StuckAtFault f{y, netlist::kNoNet, -1, true};
     std::vector<Vector> vs{Vector{false}, Vector{true}};
-    const auto det = run_fault_simulation(c, std::span(&f, 1), vs);
+    const auto det = first_detections(c, std::span(&f, 1), vs);
     EXPECT_EQ(det[0], -1);
 }
 
@@ -165,7 +175,7 @@ TEST_P(FaultSimProperty, ParityTreeNeedsBothPolarities) {
     // find them quickly (XOR propagates everything).
     const Circuit c = build_parity_tree(GetParam());
     RandomPatternGenerator rng(5);
-    FaultSimulator sim(c, collapse_faults(c, full_fault_universe(c)));
+    LevelizedFaultSimulator sim(c, collapse_faults(c, full_fault_universe(c)));
     sim.apply(rng.vectors(c, 128));
     EXPECT_DOUBLE_EQ(sim.coverage(), 1.0);
 }
@@ -247,7 +257,7 @@ TEST(Transition, DetectionImpliesValidPair) {
         ASSERT_EQ(prev[f.line], init) << transition_fault_name(c, f);
         const StuckAtFault sa{f.line, netlist::kNoNet, -1, init};
         std::vector<Vector> one{vectors[static_cast<size_t>(at - 1)]};
-        const auto det = run_fault_simulation(c, std::span(&sa, 1), one);
+        const auto det = first_detections(c, std::span(&sa, 1), one);
         ASSERT_EQ(det[0], 1) << transition_fault_name(c, f);
     }
     EXPECT_GT(checked, 0);
@@ -393,7 +403,7 @@ TEST(Bist, MisrSeparatesGoodAndFaultyStreams) {
         // Fault simulation of a single vector.
         auto values = simulate(c, v);
         std::vector<Vector> one{v};
-        const auto det = run_fault_simulation(c, std::span(&f, 1), one);
+        const auto det = first_detections(c, std::span(&f, 1), one);
         if (det[0] == 1) {
             // Flip the output bits the fault changes: recompute faulty POs.
             // (Direct faulty simulation via the stem override.)
@@ -429,11 +439,11 @@ TEST(Bist, LfsrPatternsApproachRandomCoverage) {
     Lfsr lfsr(32, 0, 0xACE1);
     std::vector<Vector> lfsr_vectors;
     for (int i = 0; i < 512; ++i) lfsr_vectors.push_back(lfsr.next_vector(c));
-    FaultSimulator lsim(c, faults);
+    LevelizedFaultSimulator lsim(c, faults);
     lsim.apply(lfsr_vectors);
 
     RandomPatternGenerator rng(4);
-    FaultSimulator rsim(c, faults);
+    LevelizedFaultSimulator rsim(c, faults);
     rsim.apply(rng.vectors(c, 512));
 
     EXPECT_NEAR(lsim.coverage(), rsim.coverage(), 0.08);
@@ -453,13 +463,13 @@ TEST(Patterns, DeterministicAndFullWidth) {
     EXPECT_EQ(unique.size(), vs.size());
 }
 
-// --- Differential test: naive reference simulator vs PPSFP --------------
+// --- Differential test: naive reference simulator vs levelized ----------
 //
 // An obviously-correct scalar simulator: for each fault, re-simulate the
 // whole circuit one vector at a time with the fault's line value forced,
 // and compare primary outputs against the good machine.  No pattern
 // packing, no fault dropping, no cone pruning — nothing shared with the
-// PPSFP implementation except the circuit IR.
+// levelized implementation except the circuit IR.
 
 std::vector<bool> simulate_faulty_naive(const Circuit& c, const Vector& v,
                                         const StuckAtFault& f) {
@@ -507,22 +517,22 @@ std::vector<int> run_reference_simulation(
     return first;
 }
 
-void expect_ppsfp_matches_reference(const Circuit& c,
-                                    std::span<const Vector> vectors,
-                                    const char* what) {
+void expect_sim_matches_reference(const Circuit& c,
+                                  std::span<const Vector> vectors,
+                                  const char* what) {
     const auto faults = full_fault_universe(c);
     const auto reference = run_reference_simulation(c, faults, vectors);
-    const auto ppsfp = run_fault_simulation(c, faults, vectors);
-    ASSERT_EQ(reference.size(), ppsfp.size());
+    const auto levelized = first_detections(c, faults, vectors);
+    ASSERT_EQ(reference.size(), levelized.size());
     for (std::size_t i = 0; i < faults.size(); ++i)
-        EXPECT_EQ(ppsfp[i], reference[i])
+        EXPECT_EQ(levelized[i], reference[i])
             << what << ": fault " << fault_name(c, faults[i]);
 }
 
 TEST(FaultSimDifferential, C17MatchesNaiveReference) {
     const Circuit c = build_c17();
     RandomPatternGenerator rng(42);
-    expect_ppsfp_matches_reference(c, rng.vectors(c, 12), "c17");
+    expect_sim_matches_reference(c, rng.vectors(c, 12), "c17");
 }
 
 TEST(FaultSimDifferential, RandomCircuitsMatchNaiveReference) {
@@ -533,7 +543,7 @@ TEST(FaultSimDifferential, RandomCircuitsMatchNaiveReference) {
         const Circuit c =
             netlist::build_random_circuit(5, 8, /*seed=*/1000 + trial);
         RandomPatternGenerator rng(trial);
-        expect_ppsfp_matches_reference(c, rng.vectors(c, 12),
+        expect_sim_matches_reference(c, rng.vectors(c, 12),
                                        c.name().c_str());
     }
 }
@@ -544,7 +554,7 @@ TEST(FaultSimDifferential, BlockBoundaryVectorCounts) {
     const Circuit c = netlist::build_random_circuit(5, 8, 7);
     for (int n : {1, 63, 64, 65, 70}) {
         RandomPatternGenerator rng(static_cast<std::uint64_t>(n));
-        expect_ppsfp_matches_reference(c, rng.vectors(c, n), "boundary");
+        expect_sim_matches_reference(c, rng.vectors(c, n), "boundary");
     }
 }
 

@@ -6,7 +6,7 @@
 //     SessionOptions{1} match default-opened sessions, the derived count
 //     tables are the 0/1 image of the first-detection table, and the n=1
 //     ATPG sequence is untouched by the (inert) top-up knobs.  At targets
-//     > 1, every registered engine matches the naive oracle's count and
+//     > 1, the levelized engine matches the naive oracle's count and
 //     nth-detection tables.
 //   * Metamorphic — detection counts are monotone in the applied prefix
 //     and saturate consistently across targets (counts_m == min(counts_n,
@@ -96,8 +96,8 @@ TEST(NDetectDifferential, TargetOneIsClassicOnC432) {
 
 TEST(NDetectDifferential, TargetOneIsClassicOnSynthFixture) {
     // The generated-circuit fixture exercises a netlist shape the ISCAS
-    // builders don't; the naive oracle is too slow here, so run the two
-    // production engines only.
+    // builders don't; the naive oracle is too slow here, so run the
+    // production engine only.
     const Circuit c =
         netlist::load_bench_file(std::string(DLPROJ_DATA_DIR) +
                                  "/synth_2k.bench");
@@ -105,9 +105,8 @@ TEST(NDetectDifferential, TargetOneIsClassicOnSynthFixture) {
         gatesim::collapse_faults(c, gatesim::full_fault_universe(c));
     RandomPatternGenerator rng(21);
     const auto vectors = rng.vectors(c, 64);
-    for (const char* name : {"ppsfp", "levelized"})
-        expect_target_one_is_classic(c, faults,
-                                     std::span<const Vector>(vectors), name);
+    expect_target_one_is_classic(c, faults, std::span<const Vector>(vectors),
+                                 "levelized");
 }
 
 TEST(NDetectDifferential, AllEnginesMatchNaiveAtHigherTargets) {

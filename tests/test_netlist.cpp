@@ -5,7 +5,6 @@
 #include "gatesim/patterns.h"
 #include "netlist/bench_parser.h"
 #include "netlist/builders.h"
-#include "netlist/optimize.h"
 #include "netlist/techmap.h"
 
 namespace dlp::netlist {
@@ -367,96 +366,6 @@ void expect_equivalent(const Circuit& a, const Circuit& b, int samples) {
                 << "output " << o << " sample " << i;
     }
 }
-
-TEST(Optimize, FoldsConstantsAndSharesDuplicates) {
-    Circuit c("t");
-    const auto a = c.add_input("a");
-    const auto b = c.add_input("b");
-    const auto na = c.add_gate(GateType::Not, "na", {a});
-    // AND(a, !a) == 0; OR(b, 0) == b; duplicate NANDs share.
-    const auto zero = c.add_gate(GateType::And, "zero", {a, na});
-    const auto o = c.add_gate(GateType::Or, "o", {b, zero});
-    const auto d1 = c.add_gate(GateType::Nand, "d1", {a, b});
-    const auto d2 = c.add_gate(GateType::Nand, "d2", {b, a});
-    const auto y = c.add_gate(GateType::And, "y", {o, d1, d2});
-    c.mark_output(y);
-
-    OptimizeStats stats;
-    const Circuit opt = optimize(c, &stats);
-    EXPECT_TRUE(opt.validate().empty());
-    EXPECT_LT(opt.logic_gate_count(), c.logic_gate_count());
-    EXPECT_GT(stats.folded, 0u);
-    EXPECT_GT(stats.shared, 0u);
-    // y == AND(b, NAND(a,b)): 2-3 gates.
-    EXPECT_LE(opt.logic_gate_count(), 3u);
-    expect_equivalent(c, opt, 64);
-}
-
-TEST(Optimize, XorIdentities) {
-    Circuit c("t");
-    const auto a = c.add_input("a");
-    const auto b = c.add_input("b");
-    const auto x1 = c.add_gate(GateType::Xor, "x1", {a, a});  // == 0
-    const auto x2 = c.add_gate(GateType::Xor, "x2", {a, b, x1});  // == a^b
-    const auto na = c.add_gate(GateType::Not, "na", {a});
-    const auto x3 = c.add_gate(GateType::Xnor, "x3", {a, na});  // == 0
-    const auto y = c.add_gate(GateType::Or, "y", {x2, x3});     // == a^b
-    c.mark_output(y);
-    const Circuit opt = optimize(c);
-    EXPECT_TRUE(opt.validate().empty());
-    expect_equivalent(c, opt, 64);
-    EXPECT_LE(opt.logic_gate_count(), 2u);
-}
-
-TEST(Optimize, ConstantOutputMaterialized) {
-    Circuit c("t");
-    const auto a = c.add_input("a");
-    const auto na = c.add_gate(GateType::Not, "na", {a});
-    const auto y = c.add_gate(GateType::And, "y", {a, na});  // constant 0
-    c.mark_output(y);
-    const Circuit opt = optimize(c);
-    EXPECT_TRUE(opt.validate().empty());
-    EXPECT_EQ(opt.outputs().size(), 1u);
-    expect_equivalent(c, opt, 8);
-}
-
-TEST(Optimize, DeadLogicRemoved) {
-    Circuit c("t");
-    const auto a = c.add_input("a");
-    const auto b = c.add_input("b");
-    const auto y = c.add_gate(GateType::Nand, "y", {a, b});
-    const auto dead = c.add_gate(GateType::Nor, "dead", {a, b});
-    c.add_gate(GateType::Not, "dead2", {dead});
-    c.mark_output(y);
-    // The dangling gates make validate() complain, but optimize must still
-    // drop them cleanly.
-    const Circuit opt = optimize(c);
-    EXPECT_EQ(opt.logic_gate_count(), 1u);
-}
-
-class OptimizeEquivalence
-    : public ::testing::TestWithParam<std::function<Circuit()>> {};
-
-TEST_P(OptimizeEquivalence, PreservesFunctionNeverGrows) {
-    const Circuit original = GetParam()();
-    OptimizeStats stats;
-    const Circuit opt = optimize(original, &stats);
-    EXPECT_TRUE(opt.validate().empty());
-    EXPECT_LE(opt.logic_gate_count(), original.logic_gate_count());
-    expect_equivalent(original, opt, 200);
-    // Optimization must compose with techmap.
-    expect_equivalent(original, techmap(opt), 100);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Circuits, OptimizeEquivalence,
-    ::testing::Values([] { return build_c17(); }, [] { return build_c432(); },
-                      [] { return build_ripple_adder(6); },
-                      [] { return build_parity_tree(9); },
-                      [] { return build_alu(5); },
-                      [] { return build_hamming_corrector(11); },
-                      [] { return build_mux_tree(3); },
-                      [] { return build_random_circuit(12, 120, 5); }));
 
 class TechmapEquivalence
     : public ::testing::TestWithParam<std::function<Circuit()>> {};

@@ -12,7 +12,7 @@
 
 #include "extract/extractor.h"
 #include "flow/experiment.h"
-#include "gatesim/fault_sim.h"
+#include "gatesim/levelized.h"
 #include "gatesim/patterns.h"
 #include "layout/place_route.h"
 #include "netlist/builders.h"
@@ -327,7 +327,7 @@ TEST_F(ObsTest, GateSimCountersBitIdenticalAcrossThreadCounts) {
 
     const auto run = [&](int threads) {
         obs::reset();
-        gatesim::FaultSimulator sim(c, faults, {threads});
+        gatesim::LevelizedFaultSimulator sim(c, faults, {threads});
         sim.apply(vectors);
         auto counters = counters_by_prefix("faultsim.gate.");
         counters["remaining"] = static_cast<long long>(

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -223,6 +224,49 @@ TEST(ParallelForCancel, UncancelledTokenStillCoversEverything) {
         },
         4, &token);
     for (size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i].load(), 1);
+}
+
+TEST(ParallelForConcurrent, TopLevelRegionsFromManyThreadsEachCoverTheirRange) {
+    // Several unrelated threads (as the service's workers do) open
+    // top-level regions on the shared pool at once.  Each caller's range
+    // must be covered exactly once; a region that loses the race for the
+    // pool runs inline on its caller.  A broken pool hangs instead of
+    // failing, so the callers are awaited with a bound.
+    constexpr int kCallers = 6;
+    constexpr int kRounds = 200;
+    constexpr size_t kN = 4096;
+    std::atomic<int> bad{0};
+    std::atomic<int> finished{0};
+    std::vector<std::thread> callers;
+    for (int t = 0; t < kCallers; ++t)
+        callers.emplace_back([&] {
+            std::vector<std::atomic<int>> hits(kN);
+            for (int round = 0; round < kRounds; ++round) {
+                for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+                parallel_for(
+                    kN, 16,
+                    [&](size_t b, size_t e, int) {
+                        for (size_t i = b; i < e; ++i)
+                            hits[i].fetch_add(1, std::memory_order_relaxed);
+                    },
+                    4);
+                for (const auto& h : hits)
+                    if (h.load() != 1) ++bad;
+            }
+            ++finished;
+        });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (finished.load() < kCallers &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    if (finished.load() < kCallers) {
+        ADD_FAILURE() << "concurrent parallel_for callers hung ("
+                      << finished.load() << "/" << kCallers << " done)";
+        std::abort();  // the stuck callers cannot be joined
+    }
+    for (std::thread& t : callers) t.join();
+    EXPECT_EQ(bad.load(), 0);
 }
 
 TEST(ThreadPool, ReportsParallelRegion) {

@@ -28,7 +28,7 @@
 #include "extract/rules_parser.h"
 #include "flow/experiment.h"
 #include "flow/report.h"
-#include "gatesim/fault_sim.h"
+#include "gatesim/levelized.h"
 #include "gatesim/patterns.h"
 #include "netlist/bench_parser.h"
 #include "netlist/builders.h"
@@ -232,7 +232,7 @@ TEST(PrefixConsistency, GateSimVectorBudgetYieldsExactPrefix) {
     gatesim::RandomPatternGenerator rng(7);
     const auto vectors = rng.vectors(c, 256);
 
-    gatesim::FaultSimulator full(c, faults);
+    gatesim::LevelizedFaultSimulator full(c, faults);
     full.apply(vectors);
     const auto full_curve = full.coverage_curve();
     ASSERT_EQ(full_curve.size(), vectors.size());
@@ -242,7 +242,7 @@ TEST(PrefixConsistency, GateSimVectorBudgetYieldsExactPrefix) {
         const long long cut = 1 + static_cast<long long>(pick() % 256);
         support::RunBudget budget;
         budget.max_vectors = cut;
-        gatesim::FaultSimulator part(c, faults);
+        gatesim::LevelizedFaultSimulator part(c, faults);
         const auto res = part.apply(vectors, budget);
         ASSERT_EQ(res.vectors_applied, static_cast<int>(cut));
         if (cut < static_cast<long long>(vectors.size()))
@@ -273,13 +273,13 @@ TEST(PrefixConsistency, GateSimCancellationCommitsWholeBlocks) {
     gatesim::RandomPatternGenerator rng(11);
     const auto vectors = rng.vectors(c, 512);
 
-    gatesim::FaultSimulator full(c, faults);
+    gatesim::LevelizedFaultSimulator full(c, faults);
     full.apply(vectors);
     const auto full_curve = full.coverage_curve();
 
     for (std::uint32_t seed = 0; seed < 10; ++seed) {
         support::RunBudget budget;
-        gatesim::FaultSimulator part(c, faults);
+        gatesim::LevelizedFaultSimulator part(c, faults);
         std::thread canceller([&budget, seed] {
             std::this_thread::sleep_for(std::chrono::microseconds(seed * 40));
             budget.cancel.request();
@@ -305,7 +305,7 @@ TEST(PrefixConsistency, GateSimPreCancelledAndExpiredApplyNothing) {
 
     support::RunBudget cancelled;
     cancelled.cancel.request();
-    gatesim::FaultSimulator a(c, faults);
+    gatesim::LevelizedFaultSimulator a(c, faults);
     const auto ra = a.apply(vectors, cancelled);
     EXPECT_EQ(ra.vectors_applied, 0);
     EXPECT_EQ(ra.newly_detected, 0);
@@ -314,7 +314,7 @@ TEST(PrefixConsistency, GateSimPreCancelledAndExpiredApplyNothing) {
 
     support::RunBudget expired;
     expired.deadline = support::Deadline::after_ms(0);
-    gatesim::FaultSimulator b(c, faults);
+    gatesim::LevelizedFaultSimulator b(c, faults);
     const auto rb = b.apply(vectors, expired);
     EXPECT_EQ(rb.vectors_applied, 0);
     EXPECT_EQ(rb.stop, support::StopReason::DeadlineExpired);

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -186,7 +187,6 @@ TEST(ServiceProtocol, RequestRoundTrip) {
     r.idempotency_key = "k";
     r.deadline_ms = 1500;
     r.max_vectors = 32;
-    r.engine = "levelized";
     r.threads = 3;
     r.progress = true;
     r.spec = kOneCellSpec;
@@ -196,10 +196,18 @@ TEST(ServiceProtocol, RequestRoundTrip) {
     EXPECT_EQ(p.idempotency_key, "k");
     EXPECT_EQ(p.deadline_ms, 1500);
     EXPECT_EQ(p.max_vectors, 32);
-    EXPECT_EQ(p.engine, "levelized");
     EXPECT_EQ(p.threads, 3);
     EXPECT_TRUE(p.progress);
     EXPECT_EQ(p.spec, kOneCellSpec);
+}
+
+TEST(ServiceProtocol, IgnoresAStrayEngineField) {
+    // The envelope takes no engine: like any unknown key, a stray one is
+    // ignored, so older clients keep working.
+    const service::Request p = service::parse_request(
+        R"({"op":"campaign","engine":"ppsfp","spec":"x"})");
+    EXPECT_EQ(p.op, service::Op::Campaign);
+    EXPECT_EQ(service::request_json(p).find("engine"), std::string::npos);
 }
 
 TEST(ServiceProtocol, RejectsBadRequests) {
@@ -519,22 +527,6 @@ TEST(Service, PingStatsAndCampaignEndToEnd) {
         << "stop() unlinks the socket";
 }
 
-TEST(Service, RejectsUnknownEngineWithoutRunning) {
-    const std::string dir = scratch_dir("svc_engine");
-    service::Service svc(test_config(dir));
-    svc.start();
-    service::Request r;
-    r.op = service::Op::Campaign;
-    r.spec = kOneCellSpec;
-    r.engine = "no-such-engine";
-    service::ClientOptions opt = test_client(svc.config());
-    opt.max_attempts = 1;
-    const service::CallResult res = service::call_service(r, opt);
-    EXPECT_EQ(res.status, "error");
-    EXPECT_NE(res.error.find("engine"), std::string::npos);
-    svc.stop();
-}
-
 TEST(Service, FullQueueShedsWithRetryAfterBeforeReadingThePayload) {
     const std::string dir = scratch_dir("svc_shed");
     service::ServiceConfig cfg = test_config(dir);
@@ -755,8 +747,10 @@ TEST(Soak, ConcurrentClientsThroughChaosSurviveARestartWithZeroCorruption) {
     constexpr int kIters = 6;
     std::atomic<int> failures{0};
     std::atomic<int> ok_calls{0};
+    std::atomic<int> done_clients{0};
     std::mutex diag_mu;
     std::vector<std::string> diags;
+    std::vector<std::string> in_flight(kThreads);  // guarded by diag_mu
     std::vector<std::thread> clients;
     clients.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
@@ -792,6 +786,12 @@ TEST(Soak, ConcurrentClientsThroughChaosSurviveARestartWithZeroCorruption) {
                         r.progress = true;
                         break;
                 }
+                {
+                    std::lock_guard<std::mutex> lock(diag_mu);
+                    in_flight[static_cast<std::size_t>(t)] =
+                        "iter " + std::to_string(i) + " op " +
+                        std::string(service::op_name(r.op));
+                }
                 const service::CallResult res = service::call_service(r, opt);
                 if (res.ok()) {
                     ok_calls.fetch_add(1);
@@ -803,6 +803,11 @@ TEST(Soak, ConcurrentClientsThroughChaosSurviveARestartWithZeroCorruption) {
                                     " stop=" + res.stop + " err=" + res.error);
                 }
             }
+            {
+                std::lock_guard<std::mutex> lock(diag_mu);
+                in_flight[static_cast<std::size_t>(t)].clear();
+            }
+            done_clients.fetch_add(1);
         });
     }
 
@@ -815,6 +820,26 @@ TEST(Soak, ConcurrentClientsThroughChaosSurviveARestartWithZeroCorruption) {
     EXPECT_TRUE(svc->recovery().quarantined == 0)
         << "a graceful predecessor leaves no torn objects";
 
+    // Bounded join: a lost wake-up must fail loudly, with what was in
+    // flight, instead of hanging silently until the ctest timeout.
+    const auto join_deadline = std::chrono::steady_clock::now() + 120s;
+    while (done_clients.load() < kThreads &&
+           std::chrono::steady_clock::now() < join_deadline)
+        std::this_thread::sleep_for(50ms);
+    if (done_clients.load() < kThreads) {
+        std::lock_guard<std::mutex> lock(diag_mu);
+        std::cerr << "soak: " << kThreads - done_clients.load()
+                  << " client(s) still running after 120 s; ok="
+                  << ok_calls.load() << " failed=" << failures.load()
+                  << " proxy_connections=" << proxy.connections() << "\n";
+        for (int t = 0; t < kThreads; ++t)
+            if (!in_flight[static_cast<std::size_t>(t)].empty())
+                std::cerr << "  thread " << t << " in flight: "
+                          << in_flight[static_cast<std::size_t>(t)] << "\n";
+        for (const std::string& d : diags)
+            std::cerr << "  failed: " << d << "\n";
+        std::abort();  // the stuck clients cannot be joined
+    }
     for (std::thread& c : clients) c.join();
     proxy.stop();
     svc->stop();

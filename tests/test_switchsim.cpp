@@ -337,7 +337,7 @@ TEST(SwitchNetlist, NodeNumberingAndNames) {
     EXPECT_EQ(net.node_of(cell::NetRef::circuit(3)), 5);
 }
 
-TEST(FaultSimulator, IncrementalMatchesFullResimulation) {
+TEST(SwitchFaultSimulator, IncrementalMatchesFullResimulation) {
     // The divergence-tracking fault simulator must agree with brute-force
     // step_faulty over the whole sequence, fault by fault.
     const Circuit c = netlist::techmap(netlist::build_ripple_adder(3));
@@ -466,7 +466,7 @@ TEST(ParallelDeterminism, ThreadCountInvariant) {
     }
 }
 
-TEST(FaultSimulator, ProgressReportsBatches) {
+TEST(SwitchFaultSimulator, ProgressReportsBatches) {
     const Circuit c = netlist::techmap(netlist::build_c17());
     const SwitchNetlist net = build_switch_netlist(c);
     const SwitchSim sim(net);
@@ -488,7 +488,7 @@ TEST(FaultSimulator, ProgressReportsBatches) {
     EXPECT_EQ(last_done, vv.size());
 }
 
-TEST(FaultSimulator, GrossFailsFirstVector) {
+TEST(SwitchFaultSimulator, GrossFailsFirstVector) {
     const Circuit c = netlist::techmap(netlist::build_c17());
     const SwitchNetlist net = build_switch_netlist(c);
     const SwitchSim sim(net);
@@ -499,7 +499,7 @@ TEST(FaultSimulator, GrossFailsFirstVector) {
     EXPECT_EQ(fs.first_detected_at()[0], 1);
 }
 
-TEST(FaultSimulator, PoFloatNeverDetected) {
+TEST(SwitchFaultSimulator, PoFloatNeverDetected) {
     const Circuit c = netlist::techmap(netlist::build_c17());
     const SwitchNetlist net = build_switch_netlist(c);
     const SwitchSim sim(net);
@@ -514,7 +514,7 @@ TEST(FaultSimulator, PoFloatNeverDetected) {
     EXPECT_EQ(fs.first_detected_at()[0], -1);
 }
 
-TEST(FaultSimulator, CoverageCurvesMonotoneAndConsistent) {
+TEST(SwitchFaultSimulator, CoverageCurvesMonotoneAndConsistent) {
     const Circuit c = netlist::techmap(netlist::build_c17());
     const SwitchNetlist net = build_switch_netlist(c);
     const SwitchSim sim(net);

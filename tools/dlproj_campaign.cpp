@@ -14,11 +14,6 @@
 //   --csv=PATH        write the CSV report to PATH ("-" = stdout)
 //   --stats=PATH      write cache/run accounting JSON (with wall_ms) to
 //                     PATH ("-" = stderr summary is always printed)
-//   --engine=NAME     fault-sim engine for every cell, overriding the
-//                     spec's `engine =` key (naive, serial, ppsfp,
-//                     levelized; default: $DLPROJ_ENGINE, else levelized).
-//                     Engines are bit-identical — this is a performance
-//                     knob and never affects results or cache keys
 //   --threads=N       worker count within each cell (0 = default)
 //   --max-vectors=N   override the spec's per-cell vector budget
 //   --ndetect=LIST    override the spec's [grid] ndetect axis with a
@@ -64,7 +59,6 @@
 #include "campaign/spec.h"
 #include "campaign/store.h"
 #include "flow/report.h"
-#include "gatesim/engine.h"
 #include "model/defect_stats_model.h"
 
 namespace {
@@ -88,7 +82,7 @@ void install_interrupt_handler() {
 int usage(const char* argv0) {
     std::cerr << "usage: " << argv0
               << " [--cache-dir=PATH] [--no-cache] [--shard=I/N]"
-                 " [--json=PATH] [--csv=PATH] [--stats=PATH] [--engine=NAME]"
+                 " [--json=PATH] [--csv=PATH] [--stats=PATH]"
                  " [--threads=N] [--max-vectors=N] [--ndetect=LIST]"
                  " [--analysis=LIST] [--defect-stats=LIST] [--timeout-ms=N]"
                  " [--no-recover] [--list] [--quiet] <spec.campaign>\n";
@@ -115,7 +109,6 @@ int main(int argc, char** argv) {
     std::string csv_path;
     std::string stats_path;
     std::string spec_path;
-    std::string engine;
     campaign::Shard shard;
     int threads = 0;
     long long max_vectors = -1;  // <0: keep the spec's value
@@ -143,8 +136,6 @@ int main(int argc, char** argv) {
                 csv_path = value("--csv=");
             else if (arg.rfind("--stats=", 0) == 0)
                 stats_path = value("--stats=");
-            else if (arg.rfind("--engine=", 0) == 0)
-                engine = value("--engine=");
             else if (arg.rfind("--threads=", 0) == 0)
                 threads = std::stoi(value("--threads="));
             else if (arg.rfind("--max-vectors=", 0) == 0)
@@ -272,19 +263,10 @@ int main(int argc, char** argv) {
         return 0;
     }
 
-    if (!engine.empty() && !dlp::sim::find_engine(engine)) {
-        std::cerr << argv[0] << ": unknown engine '" << engine
-                  << "' (registered:";
-        for (const auto n : dlp::sim::engine_names()) std::cerr << " " << n;
-        std::cerr << ")\n";
-        return 2;
-    }
-
     campaign::CampaignOptions opt;
     opt.cache_dir = cache_dir;
     opt.use_cache = !no_cache && !cache_dir.empty();
     opt.shard = shard;
-    opt.engine = engine;
     opt.parallel.threads = threads;
     opt.budget.cancel = g_interrupt;
     if (timeout_ms > 0)

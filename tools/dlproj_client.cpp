@@ -14,7 +14,6 @@
 //   --io-timeout-ms=N      per-frame read/write bound (default 30000)
 //   --retries=N            total attempts incl. the first (default 5)
 //   --idempotency-key=K    explicit key (default: derived per call)
-//   --engine=NAME          fault-sim engine override
 //   --threads=N            worker threads inside the run
 //   --max-vectors=N        per-cell vector budget override
 //   --seed=N               project op: ATPG seed (default 1)
@@ -45,7 +44,7 @@ int usage(const char* argv0) {
     std::cerr
         << "usage: " << argv0
         << " [--socket=PATH] [--timeout-ms=N] [--io-timeout-ms=N]"
-           " [--retries=N] [--idempotency-key=K] [--engine=NAME]"
+           " [--retries=N] [--idempotency-key=K]"
            " [--threads=N] [--max-vectors=N] [--seed=N] [--ndetect=N]"
            " [--analysis] [--defect-stats=DESC] [--linger-ms=N]"
            " [--no-retry-shed] [--quiet]"
@@ -89,8 +88,6 @@ int main(int argc, char** argv) {
                 options.max_attempts = std::stoi(value("--retries="));
             else if (arg.rfind("--idempotency-key=", 0) == 0)
                 request.idempotency_key = value("--idempotency-key=");
-            else if (arg.rfind("--engine=", 0) == 0)
-                request.engine = value("--engine=");
             else if (arg.rfind("--threads=", 0) == 0)
                 request.threads = std::stoi(value("--threads="));
             else if (arg.rfind("--max-vectors=", 0) == 0)

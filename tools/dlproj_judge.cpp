@@ -4,9 +4,9 @@
 //   dlproj_judge [options] <circuit>
 //   dlproj_judge --list-engines
 //
-//   --engine=NAME     fault-sim engine to run (default: every registered
-//                     engine must produce the same bytes, so any works;
-//                     defaults to the registry default)
+//   --engine=NAME     fault-sim engine to run: naive (the oracle) or
+//                     levelized (the default); both must produce the same
+//                     bytes.  Ignored in --switch mode
 //   --vectors=N       random vectors to apply (default 1024); in --switch
 //                     mode, the switch-level vector cap instead
 //   --seed=N          pattern-generator seed (default 7; --switch mode
@@ -15,7 +15,7 @@
 //                     switch-level fault simulation) and emit the
 //                     realistic-fault detection table instead of the
 //                     gate-level stuck-at table
-//   --list-engines    print the registered engine names, one per line
+//   --list-engines    print the engine names, one per line
 //
 // <circuit> is a builders.h name (c17, c432, adder3, ...) or a .bench
 // path — the same resolver the campaign grid uses.
@@ -56,11 +56,9 @@ int usage(const char* argv0) {
 /// bit-exact weights and both detection verdicts.  first/iddq indices are
 /// 1-based vector positions, -1 = never detected — the exact semantics of
 /// flow::ExperimentResult::first_detected_at.
-int judge_switch(const std::string& circuit_name, int vectors,
-                 const std::string& engine_name) {
+int judge_switch(const std::string& circuit_name, int vectors) {
     using namespace dlp;
     flow::ExperimentOptions opt;
-    opt.engine = engine_name;
     opt.budget.max_vectors = vectors;
     const auto start = std::chrono::steady_clock::now();
     const flow::ExperimentResult r = flow::run_experiment(
@@ -95,7 +93,7 @@ int judge_switch(const std::string& circuit_name, int vectors,
 int main(int argc, char** argv) {
     using namespace dlp;
 
-    std::string engine_name;
+    std::string engine_name = "levelized";
     int vectors = 1024;
     std::uint64_t seed = 7;
     bool switch_level = false;
@@ -139,7 +137,7 @@ int main(int argc, char** argv) {
 
     try {
         if (switch_level)
-            return judge_switch(circuit_name, vectors, engine_name);
+            return judge_switch(circuit_name, vectors);
         const netlist::Circuit circuit =
             campaign::resolve_circuit(circuit_name);
         const auto faults = gatesim::collapse_faults(
@@ -147,9 +145,7 @@ int main(int argc, char** argv) {
         gatesim::RandomPatternGenerator rng(seed);
         const auto patterns = rng.vectors(circuit, vectors);
 
-        const sim::Engine& engine = engine_name.empty()
-                                        ? sim::engine(sim::kDefaultEngine)
-                                        : sim::engine(engine_name);
+        const sim::Engine& engine = sim::engine(engine_name);
         const auto start = std::chrono::steady_clock::now();
         const auto session = engine.open(circuit, faults);
         session->apply(patterns);

@@ -12,7 +12,6 @@
 //   --deadline-ms=N     max per-request deadline ($DLPROJ_SERVE_DEADLINE_MS)
 //   --retry-after-ms=N  backpressure hint in shed replies
 //   --cache-dir=PATH    artifact cache root (default: $DLPROJ_CACHE)
-//   --engine=NAME       default fault-sim engine for requests without one
 //   --threads=N         per-run worker threads (0 = library default)
 //   --quiet             suppress startup/shutdown stderr lines
 //
@@ -26,7 +25,6 @@
 #include <string>
 #include <thread>
 
-#include "gatesim/engine.h"
 #include "service/server.h"
 #include "support/env.h"
 
@@ -36,7 +34,7 @@ int usage(const char* argv0) {
     std::cerr << "usage: " << argv0
               << " [--socket=PATH] [--workers=N] [--queue-max=N]"
                  " [--drain-ms=N] [--deadline-ms=N] [--retry-after-ms=N]"
-                 " [--cache-dir=PATH] [--engine=NAME] [--threads=N]"
+                 " [--cache-dir=PATH] [--threads=N]"
                  " [--quiet]\n";
     return 2;
 }
@@ -76,8 +74,6 @@ int main(int argc, char** argv) {
                 config.retry_after_ms = std::stoll(value("--retry-after-ms="));
             else if (arg.rfind("--cache-dir=", 0) == 0)
                 config.cache_dir = value("--cache-dir=");
-            else if (arg.rfind("--engine=", 0) == 0)
-                config.engine = value("--engine=");
             else if (arg.rfind("--threads=", 0) == 0)
                 config.cell_threads = std::stoi(value("--threads="));
             else if (arg == "--quiet")
@@ -96,10 +92,6 @@ int main(int argc, char** argv) {
         std::cerr << argv[0]
                   << ": no socket path (--socket= or DLPROJ_SERVE_SOCKET)\n";
         return usage(argv[0]);
-    }
-    if (!config.engine.empty() && !sim::find_engine(config.engine)) {
-        std::cerr << argv[0] << ": unknown engine '" << config.engine << "'\n";
-        return 2;
     }
 
     // Block SIGINT/SIGTERM in every thread (service threads inherit the
