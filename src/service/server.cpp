@@ -4,6 +4,10 @@
 #include <chrono>
 #include <utility>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "campaign/report.h"
 #include "campaign/runner.h"
 #include "campaign/spec.h"
@@ -426,6 +430,7 @@ void Service::execute_run(const Request& request, int fd) {
     // point of its idempotency key) would replay the failure instead of
     // re-executing.
     auto broken = std::make_shared<bool>(false);
+    bool computed_cell = false;
     try {
         campaign::CampaignSpec spec;
         if (request.op == Op::Campaign) {
@@ -472,6 +477,7 @@ void Service::execute_run(const Request& request, int fd) {
         }
 
         const campaign::CampaignReport report = campaign::run_campaign(spec, opt);
+        computed_cell = report.stats.cell_misses > 0;
         const std::string body = campaign::report_json(report);
         const std::string stats = campaign::stats_json(report.stats);
         if (report.stats.stop == support::StopReason::None)
@@ -503,6 +509,14 @@ void Service::execute_run(const Request& request, int fd) {
         }
     }
     send_result(fd, response);
+#ifdef __GLIBC__
+    // A computed cell leaves megabytes of freed transients (fault lists,
+    // simulator scratch, traces) in this thread's malloc arena, which glibc
+    // keeps mapped; under a steady mix of cold requests the retained pages
+    // pile up across arenas.  Hand them back once the reply is out.  Warm
+    // replies allocate little and skip the trim.
+    if (computed_cell) malloc_trim(0);
+#endif
 }
 
 }  // namespace dlp::service

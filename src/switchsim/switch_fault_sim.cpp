@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/telemetry.h"
 
@@ -21,42 +21,33 @@ SwitchFaultSimulator::SwitchFaultSimulator(const SwitchSim& sim,
     po_mask_.assign(static_cast<size_t>(net.node_count), 0);
     for (NodeId po : net.output_nodes) po_mask_[static_cast<size_t>(po)] = 1;
 
-    const auto comp_of_node = [&](NodeId v) {
-        return sim.component_of()[static_cast<size_t>(v)];
-    };
     for (size_t fi = 0; fi < faults_.size(); ++fi) {
         const SwitchFault& f = faults_[fi].fault;
         total_weight_ += faults_[fi].weight;
         PerFault& pf = per_fault_[fi];
+        const auto add_seed = [&](NodeId n) {
+            const std::int32_t c =
+                sim.component_of()[static_cast<size_t>(n)];
+            if (c >= 0 && std::find(pf.seed_comps.begin(),
+                                    pf.seed_comps.end(),
+                                    c) == pf.seed_comps.end())
+                pf.seed_comps.push_back(c);
+        };
         switch (f.kind) {
-            case SwitchFault::Kind::Bridge: {
-                std::vector<NodeId> ends{f.a, f.b};
-                if (f.c >= 0) ends.push_back(f.c);
-                for (NodeId n : ends) {
-                    const std::int32_t c = comp_of_node(n);
-                    if (c >= 0 && std::find(pf.seed_comps.begin(),
-                                            pf.seed_comps.end(),
-                                            c) == pf.seed_comps.end())
-                        pf.seed_comps.push_back(c);
-                }
+            case SwitchFault::Kind::Bridge:
+                pf.ends = {f.a, f.b};
+                if (f.c >= 0) pf.ends.push_back(f.c);
+                for (NodeId n : pf.ends) add_seed(n);
                 if (pf.seed_comps.size() >= 2) pf.merged = pf.seed_comps;
                 break;
-            }
             case SwitchFault::Kind::TransistorOpen:
             case SwitchFault::Kind::GateFloat:
                 for (int t : f.transistors) {
-                    const auto& tr =
-                        sim.netlist().transistors[static_cast<size_t>(t)];
-                    const NodeId probe =
-                        (tr.source == SwitchNetlist::kGnd ||
-                         tr.source == SwitchNetlist::kVdd)
-                            ? tr.drain
-                            : tr.source;
-                    const std::int32_t c = comp_of_node(probe);
-                    if (c >= 0 &&
-                        std::find(pf.seed_comps.begin(), pf.seed_comps.end(),
-                                  c) == pf.seed_comps.end())
-                        pf.seed_comps.push_back(c);
+                    const auto& tr = net.transistors[static_cast<size_t>(t)];
+                    add_seed((tr.source == SwitchNetlist::kGnd ||
+                              tr.source == SwitchNetlist::kVdd)
+                                 ? tr.drain
+                                 : tr.source);
                 }
                 break;
             case SwitchFault::Kind::Gross:
@@ -64,12 +55,131 @@ SwitchFaultSimulator::SwitchFaultSimulator(const SwitchSim& sim,
                 break;
         }
     }
+    compile_components();
 
     good_ = sim.initial_state();
 }
 
+void SwitchFaultSimulator::compile_components() {
+    const SwitchSim& sim = *sim_;
+    const size_t nc = static_cast<size_t>(sim.component_count());
+    // CCC dependency graph: c -> r when a node of c gates a transistor of r.
+    std::vector<std::vector<std::int32_t>> readers(nc);
+    std::vector<std::vector<std::int32_t>> drivers(nc);
+    for (size_t c = 0; c < nc; ++c) {
+        auto& rs = readers[c];
+        for (NodeId v : sim.component_nodes(static_cast<std::int32_t>(c)))
+            for (std::int32_t r : sim.gate_dependents(v)) rs.push_back(r);
+        std::sort(rs.begin(), rs.end());
+        rs.erase(std::unique(rs.begin(), rs.end()), rs.end());
+        for (std::int32_t r : rs)
+            drivers[static_cast<size_t>(r)].push_back(
+                static_cast<std::int32_t>(c));
+    }
+
+    // Longest-path levels (Kahn).  Components Kahn never releases lie on
+    // or below a fault-free cycle; they take the level past the deepest
+    // ordered one and join the loop set of every fault that reaches them.
+    std::vector<int> indegree(nc, 0);
+    for (const auto& rs : readers)
+        for (std::int32_t r : rs) ++indegree[static_cast<size_t>(r)];
+    level_.assign(nc, 0);
+    std::vector<std::int32_t> order;
+    order.reserve(nc);
+    for (size_t c = 0; c < nc; ++c)
+        if (indegree[c] == 0) order.push_back(static_cast<std::int32_t>(c));
+    for (size_t i = 0; i < order.size(); ++i) {
+        const std::int32_t c = order[i];
+        for (std::int32_t r : readers[static_cast<size_t>(c)]) {
+            level_[static_cast<size_t>(r)] = std::max(
+                level_[static_cast<size_t>(r)],
+                level_[static_cast<size_t>(c)] + 1);
+            if (--indegree[static_cast<size_t>(r)] == 0) order.push_back(r);
+        }
+    }
+    const bool acyclic = order.size() == nc;
+    depth_ = nc == 0 ? 1 : 1 + *std::max_element(level_.begin(), level_.end());
+    if (!acyclic) {
+        for (size_t c = 0; c < nc; ++c)
+            if (indegree[c] > 0) level_[c] = depth_;
+        ++depth_;
+    }
+
+    // Loop set per fault: the components forward-reachable from the fault
+    // site that reach back to a cycle - the bridge's own merged group when
+    // it reaches itself, or a fault-free cycle.  No changing component
+    // outside the set feeds into it, so solving the set first, from X, is
+    // exact.  `reach` need only cover the components that can lie on such
+    // a path.
+    std::vector<char> reach(nc, 0);
+    std::vector<char> in_loop(nc, 0);
+    std::vector<std::int32_t> reached;
+    std::vector<std::int32_t> stack;
+    for (size_t fi = 0; fi < faults_.size(); ++fi) {
+        PerFault& pf = per_fault_[fi];
+        if (acyclic && pf.merged.empty()) continue;
+        for (std::int32_t c : pf.seed_comps) stack.push_back(c);
+        if (pf.seed_comps.empty())  // bridged fixed nodes: their readers
+            for (NodeId n : pf.ends) {
+                if (n == SwitchNetlist::kGnd || n == SwitchNetlist::kVdd)
+                    continue;
+                for (std::int32_t r : sim.gate_dependents(n))
+                    stack.push_back(r);
+            }
+        // In an acyclic graph a component at or past the group's deepest
+        // level cannot reach back to the group: prune the search there.
+        std::int32_t group_depth = 0;
+        for (std::int32_t c : pf.merged)
+            group_depth = std::max(group_depth, level_[static_cast<size_t>(c)]);
+        bool group_loops = false;
+        for (std::int32_t c : stack)
+            if (!reach[static_cast<size_t>(c)]) {
+                reach[static_cast<size_t>(c)] = 1;
+                reached.push_back(c);
+            }
+        while (!stack.empty()) {
+            const std::int32_t c = stack.back();
+            stack.pop_back();
+            for (std::int32_t r : readers[static_cast<size_t>(c)]) {
+                const bool in_group =
+                    std::find(pf.merged.begin(), pf.merged.end(), r) !=
+                    pf.merged.end();
+                group_loops |= in_group;
+                if (reach[static_cast<size_t>(r)] ||
+                    (acyclic && !in_group &&
+                     level_[static_cast<size_t>(r)] >= group_depth))
+                    continue;
+                reach[static_cast<size_t>(r)] = 1;
+                reached.push_back(r);
+                stack.push_back(r);
+            }
+        }
+        if (group_loops) stack = pf.merged;
+        if (!acyclic)
+            for (std::int32_t c : reached)
+                if (indegree[static_cast<size_t>(c)] > 0) stack.push_back(c);
+        for (std::int32_t c : stack) in_loop[static_cast<size_t>(c)] = 1;
+        while (!stack.empty()) {
+            const std::int32_t c = stack.back();
+            stack.pop_back();
+            pf.loop.push_back(c);
+            for (std::int32_t d : drivers[static_cast<size_t>(c)]) {
+                if (!reach[static_cast<size_t>(d)] ||
+                    in_loop[static_cast<size_t>(d)])
+                    continue;
+                in_loop[static_cast<size_t>(d)] = 1;
+                stack.push_back(d);
+            }
+        }
+        std::sort(pf.loop.begin(), pf.loop.end());
+        for (std::int32_t c : reached) reach[static_cast<size_t>(c)] = 0;
+        for (std::int32_t c : pf.loop) in_loop[static_cast<size_t>(c)] = 0;
+        reached.clear();
+    }
+}
+
 void SwitchFaultSimulator::simulate_fault(std::size_t fi, int vector_index,
-                                          Scratch& scratch,
+                                          Scratch& s,
                                           const SwitchSim::State& good,
                                           const SwitchSim::State& good_prev) {
     const SwitchFault& fault = faults_[fi].fault;
@@ -79,110 +189,131 @@ void SwitchFaultSimulator::simulate_fault(std::size_t fi, int vector_index,
     }
     if (fault.kind == SwitchFault::Kind::None) return;  // pure pad float: X
     PerFault& pf = per_fault_[fi];
-    SwitchSim::State& cur = scratch.cur;
-    SwitchSim::State& prev = scratch.prev;
+    SwitchSim::State& cur = s.cur;
+    SwitchSim::State& prev = s.prev;
 
     SwitchSim::FaultView fv;
     fv.fault = &fault;
+    const std::uint64_t epoch = ++s.epoch;
+    s.touched_list.clear();
 
     // Patch the scratch previous-state with this fault's retained charge.
     for (const auto& [node, value] : pf.divergence)
         prev[static_cast<size_t>(node)] = value;
 
-    // Seed the worklist.  A component entering the working set restarts
-    // from X, matching the reference simulation's ternary least-fixpoint
-    // iteration: bridges can create feedback loops with several fixpoints,
-    // and starting from X is the only order-independent choice.
-    // Initialization that changes a node's visible value must notify that
-    // node's readers, or a component whose solve happens to equal its
-    // initialization would never trigger the re-solve of components that
-    // already read the mirror value.
-    std::deque<std::int32_t> work;
-    std::vector<std::int32_t> touched;
-    std::vector<NodeId> fixed_overrides;
-    std::vector<std::int32_t> pending;
-    const auto enqueue = [&pending](std::int32_t c) {
-        if (c >= 0) pending.push_back(c);
-    };
-    const auto drain = [&]() {
-        while (!pending.empty()) {
-            const std::int32_t c = pending.back();
-            pending.pop_back();
-            work.push_back(c);
-            if (std::find(touched.begin(), touched.end(), c) != touched.end())
-                continue;
-            touched.push_back(c);
-            for (NodeId v : sim_->component_nodes(c)) {
-                if (cur[static_cast<size_t>(v)] == SV::X) continue;
-                cur[static_cast<size_t>(v)] = SV::X;
-                for (std::int32_t dep : sim_->gate_dependents(v))
-                    pending.push_back(dep);
-            }
-        }
-    };
-    for (std::int32_t c : pf.seed_comps) enqueue(c);
-    drain();
-    for (const auto& [node, value] : pf.divergence) {
-        const std::int32_t c = sim_->component_of()[static_cast<size_t>(node)];
-        if (c >= 0)
-            enqueue(c);
-        else {
-            // Divergence at a component-less node (bridged PI): reapply.
-            cur[static_cast<size_t>(node)] = value;
-            fixed_overrides.push_back(node);
-        }
-        for (std::int32_t dep : sim_->gate_dependents(node)) enqueue(dep);
-        drain();
+    // A bridge-merged group is solved as one unit, queued under its first
+    // component at the lowest level among its members: without a loop its
+    // inputs never change, and every reader lies above that level.
+    std::int32_t group_level = depth_;
+    for (std::int32_t c : pf.merged) {
+        s.grouped[static_cast<size_t>(c)] = epoch;
+        group_level = std::min(group_level, level_[static_cast<size_t>(c)]);
     }
+    for (std::int32_t c : pf.loop) s.looped[static_cast<size_t>(c)] = epoch;
+
+    int lo = static_cast<int>(s.bucket.size());
+    int hi = -1;
+    const auto enqueue = [&](std::int32_t c) {
+        int lv = level_[static_cast<size_t>(c)];
+        if (s.grouped[static_cast<size_t>(c)] == epoch) {
+            c = pf.merged[0];
+            lv = group_level;
+        }
+        if (s.queued[static_cast<size_t>(c)] == epoch) return;
+        s.queued[static_cast<size_t>(c)] = epoch;
+        const int b =
+            lv + (s.looped[static_cast<size_t>(c)] == epoch ? 0 : depth_);
+        s.bucket[static_cast<size_t>(b)].push_back(c);
+        lo = std::min(lo, b);
+        hi = std::max(hi, b);
+    };
+    const auto notify_readers = [&](NodeId v) {
+        for (std::int32_t dep : sim_->gate_dependents(v)) enqueue(dep);
+    };
+    const auto touch = [&](std::int32_t c) {
+        if (s.touched[static_cast<size_t>(c)] == epoch) return;
+        s.touched[static_cast<size_t>(c)] = epoch;
+        s.visits[static_cast<size_t>(c)] = 0;
+        s.touched_list.push_back(c);
+    };
+
+    // Seeds: the fault site, and every component holding divergent charge
+    // (its retention inputs differ from the fault-free machine's).
+    for (std::int32_t c : pf.seed_comps) enqueue(c);
+    for (const auto& [node, value] : pf.divergence)
+        if (const std::int32_t c =
+                sim_->component_of()[static_cast<size_t>(node)];
+            c >= 0)
+            enqueue(c);
 
     // Bridged component-less (fixed) nodes: shorted driven inputs resolve
     // wired-AND (supplies always win), mirroring SwitchSim::run.
-    if (fault.kind == SwitchFault::Kind::Bridge &&
-        pf.seed_comps.empty()) {
-        std::vector<NodeId> ends{fault.a, fault.b};
-        if (fault.c >= 0) ends.push_back(fault.c);
-        SV want = good[static_cast<size_t>(ends[0])];
+    const bool fixed_bridge =
+        fault.kind == SwitchFault::Kind::Bridge && pf.seed_comps.empty();
+    if (fixed_bridge) {
+        SV want = good[static_cast<size_t>(pf.ends[0])];
         bool supply_found = false;
-        for (NodeId n : ends)
+        for (NodeId n : pf.ends)
             if (n == SwitchNetlist::kGnd || n == SwitchNetlist::kVdd) {
                 want = good[static_cast<size_t>(n)];
                 supply_found = true;
                 break;
             }
         if (!supply_found) {
-            for (NodeId n : ends) {
+            for (NodeId n : pf.ends) {
                 const SV v = good[static_cast<size_t>(n)];
                 if (v == want) continue;
                 want = (v == SV::X || want == SV::X) ? SV::X : SV::Zero;
             }
         }
-        for (const NodeId n : ends) {
-            if (n == SwitchNetlist::kGnd || n == SwitchNetlist::kVdd)
+        for (const NodeId n : pf.ends) {
+            if (n == SwitchNetlist::kGnd || n == SwitchNetlist::kVdd ||
+                cur[static_cast<size_t>(n)] == want)
                 continue;
-            if (cur[static_cast<size_t>(n)] != want) {
-                cur[static_cast<size_t>(n)] = want;
-                fixed_overrides.push_back(n);
-                for (std::int32_t dep : sim_->gate_dependents(n))
-                    enqueue(dep);
-            }
+            cur[static_cast<size_t>(n)] = want;
+            notify_readers(n);
         }
     }
-    drain();
 
-    // Process the worklist to a fixpoint.
+    // Feedback loop: restart from X, as the reference does, so the loop
+    // settles to its least fixpoint.  Loop buckets drain before any reader
+    // outside the loop is solved.
+    if (!pf.loop.empty()) {
+        ++s.loop_restarts;
+        for (std::int32_t c : pf.loop) {
+            touch(c);
+            for (NodeId v : sim_->component_nodes(c)) {
+                if (cur[static_cast<size_t>(v)] == SV::X) continue;
+                cur[static_cast<size_t>(v)] = SV::X;
+                notify_readers(v);
+            }
+            enqueue(c);
+        }
+    }
+
+    // Drain in level order; a component is re-queued only when a node it
+    // reads changes.
     const int cap = sim_->params().max_sweeps;
-    std::vector<SV>& before = scratch.before;
-    while (!work.empty()) {
-        const std::int32_t c = work.front();
-        work.pop_front();
-        if (scratch.comp_visits[static_cast<size_t>(c)] >= cap) continue;
-        ++scratch.comp_visits[static_cast<size_t>(c)];
+    std::vector<SV>& before = s.before;
+    while (lo <= hi) {
+        auto& bucket = s.bucket[static_cast<size_t>(lo)];
+        if (bucket.empty()) {
+            ++lo;
+            continue;
+        }
+        const std::int32_t c = bucket.back();
+        bucket.pop_back();
+        s.queued[static_cast<size_t>(c)] = 0;
 
         std::span<const std::int32_t> group(&c, 1);
-        if (!pf.merged.empty() &&
-            std::find(pf.merged.begin(), pf.merged.end(), c) !=
-                pf.merged.end())
-            group = pf.merged;
+        if (s.grouped[static_cast<size_t>(c)] == epoch) group = pf.merged;
+        for (std::int32_t gc : group) touch(gc);
+        if (s.visits[static_cast<size_t>(c)] >= cap) {
+            ++s.cap_hits;
+            continue;
+        }
+        ++s.visits[static_cast<size_t>(c)];
+        ++s.solves;
 
         before.clear();
         for (std::int32_t gc : group)
@@ -191,13 +322,9 @@ void SwitchFaultSimulator::simulate_fault(std::size_t fi, int vector_index,
         sim_->solve_component(cur, prev, group, fv);
         size_t idx = 0;
         for (std::int32_t gc : group)
-            for (NodeId v : sim_->component_nodes(gc)) {
-                if (cur[static_cast<size_t>(v)] != before[idx])
-                    for (std::int32_t dep : sim_->gate_dependents(v))
-                        enqueue(dep);
-                ++idx;
-            }
-        drain();
+            for (NodeId v : sim_->component_nodes(gc))
+                if (cur[static_cast<size_t>(v)] != before[idx++])
+                    notify_readers(v);
     }
 
     // Collect the new divergence, check detection, then repair the scratch
@@ -220,15 +347,14 @@ void SwitchFaultSimulator::simulate_fault(std::size_t fi, int vector_index,
         cur[static_cast<size_t>(v)] = gv;
         prev[static_cast<size_t>(v)] = good_prev[static_cast<size_t>(v)];
     };
-    for (std::int32_t c : touched) {
-        scratch.comp_visits[static_cast<size_t>(c)] = 0;
+    for (std::int32_t c : s.touched_list)
         for (NodeId v : sim_->component_nodes(c)) scan_node(v);
-    }
-    for (NodeId v : fixed_overrides) scan_node(v);
-    // Divergent nodes outside touched comps (from earlier vectors whose
-    // comps were not re-solved): still divergent - should not happen since
-    // divergence seeds its comps, but repair defensively.
-    // (seeded comps are always in `touched`.)
+    // Every divergent node lies in a touched component, or is a bridged
+    // fixed node.
+    if (fixed_bridge)
+        for (NodeId n : pf.ends)
+            if (n != SwitchNetlist::kGnd && n != SwitchNetlist::kVdd)
+                scan_node(n);
 
     if (detected) detected_at_[fi] = vector_index;
 }
@@ -273,6 +399,9 @@ support::ApplyResult SwitchFaultSimulator::apply(
     DLP_OBS_COUNTER(c_vectors, "faultsim.switch.vectors");
     DLP_OBS_COUNTER(c_batches, "faultsim.switch.batches");
     DLP_OBS_COUNTER(c_dropped, "faultsim.switch.dropped");
+    DLP_OBS_COUNTER(c_solves, "faultsim.switch.solves");
+    DLP_OBS_COUNTER(c_restarts, "faultsim.switch.loop_restarts");
+    DLP_OBS_COUNTER(c_cap_hits, "faultsim.switch.cap_hits");
     DLP_OBS_GAUGE(g_remaining, "faultsim.switch.remaining");
     DLP_OBS_GAUGE(g_rate, "faultsim.switch.batches_per_sec");
 #if DLPROJ_OBS_ENABLED
@@ -309,9 +438,15 @@ support::ApplyResult SwitchFaultSimulator::apply(
             faults_.size(), grain,
             [&](size_t fb, size_t fe, int w) {
                 Scratch& ws = scratch[static_cast<size_t>(w)];
-                if (ws.comp_visits.empty())
-                    ws.comp_visits.assign(
-                        static_cast<size_t>(sim_->component_count()), 0);
+                if (ws.bucket.empty()) {
+                    const size_t nc = level_.size();
+                    ws.queued.assign(nc, 0);
+                    ws.touched.assign(nc, 0);
+                    ws.grouped.assign(nc, 0);
+                    ws.looped.assign(nc, 0);
+                    ws.visits.assign(nc, 0);
+                    ws.bucket.resize(2 * static_cast<size_t>(depth_));
+                }
                 for (size_t v = 0; v < m; ++v) {
                     const int k =
                         before_applied + static_cast<int>(base + v) + 1;
@@ -334,6 +469,21 @@ support::ApplyResult SwitchFaultSimulator::apply(
                 }
             },
             parallel_.threads);
+
+        // Per-fault work is independent of the worker that ran it, so the
+        // summed solver counters are thread-count-invariant.
+        long long solves = 0;
+        long long restarts = 0;
+        long long cap_hits = 0;
+        for (Scratch& ws : scratch) {
+            solves += std::exchange(ws.solves, 0);
+            restarts += std::exchange(ws.loop_restarts, 0);
+            cap_hits += std::exchange(ws.cap_hits, 0);
+        }
+        cap_hits_ += cap_hits;
+        DLP_OBS_ADD(c_solves, solves);
+        DLP_OBS_ADD(c_restarts, restarts);
+        DLP_OBS_ADD(c_cap_hits, cap_hits);
 
         completed = base + m;
         DLP_OBS_ADD(c_vectors, static_cast<long long>(m));
@@ -379,11 +529,9 @@ void SwitchFaultSimulator::check_iddq(std::size_t fi, int vector_index,
     if (f.kind != SwitchFault::Kind::Bridge) return;
     // Elevated quiescent current whenever the defect-free circuit drives
     // any two of the shorted nodes to opposite levels.
-    std::vector<NodeId> ends{f.a, f.b};
-    if (f.c >= 0) ends.push_back(f.c);
     bool saw0 = false;
     bool saw1 = false;
-    for (NodeId n : ends) {
+    for (NodeId n : per_fault_[fi].ends) {
         const SV v = good[static_cast<size_t>(n)];
         saw0 |= v == SV::Zero;
         saw1 |= v == SV::One;

@@ -12,6 +12,19 @@
 // the per-vector cost is proportional to the divergent region, not the
 // whole chip.
 //
+// Propagation is event-driven from the fault-free state: a fault-vector
+// starts from the good node values, solves the fault's seed components
+// (its site and every component holding retained divergent charge) in the
+// static topological order of channel-connected components (CCCs), and
+// re-solves a component only when a node value it reads changed.  Without
+// a feedback loop every component's value is a function of final inputs,
+// so this reaches the unique fixpoint SwitchSim::step_faulty computes.  A
+// bridge whose merged components reach themselves through gate
+// dependencies can have several fixpoints; for such a fault only the loop
+// (the components reachable from the bridge that also reach back to it)
+// restarts from X and is solved to its least fixpoint before anything
+// downstream, matching the reference's ternary least-fixpoint semantics.
+//
 // Fault simulations are independent given the fault-free trace, so apply()
 // fans faults out across the shared thread pool (parallel/parallel_for.h):
 // the good-machine states for a batch of vectors are computed once and
@@ -97,30 +110,55 @@ public:
     /// theta(k) when voltage and IDDQ detection are combined.
     std::vector<double> weighted_coverage_curve_with_iddq() const;
 
+    /// Component re-solves skipped because a component hit
+    /// SimParams::max_sweeps solves in one fault-vector (its last value
+    /// stands).  Zero unless a feedback loop fails to settle.
+    long long cap_hits() const { return cap_hits_; }
+
 private:
     struct PerFault {
         std::vector<std::pair<NodeId, SV>> divergence;  ///< faulty != good
         std::vector<std::int32_t> seed_comps;
-        std::vector<std::int32_t> merged;  ///< bridge-merged comp pair
+        std::vector<std::int32_t> merged;  ///< bridge-merged comp group
+        /// Components restarted from X every vector: the feedback loop
+        /// through `merged` (plus any fault-free cycle the fault reaches).
+        std::vector<std::int32_t> loop;
+        std::vector<NodeId> ends;  ///< bridge end nodes (a, b[, c])
     };
 
-    /// Per-worker scratch: the full-state mirrors the serial simulator kept
-    /// as members, plus the component worklist guard and the solve buffer.
-    /// Between faults, cur == good and prev == good_prev of the vector
-    /// being simulated, and comp_visits is all-zero.
+    /// Per-worker scratch, reused across faults.  Between faults cur ==
+    /// good and prev == good_prev of the vector being simulated; the
+    /// per-component marks are valid only when stamped with the current
+    /// fault's epoch, so nothing is cleared or allocated per fault.
     struct Scratch {
         SwitchSim::State cur;
         SwitchSim::State prev;
-        std::vector<int> comp_visits;
+        std::vector<std::uint64_t> queued;   ///< comp in the queue @ epoch
+        std::vector<std::uint64_t> touched;  ///< comp solved or reset @ epoch
+        std::vector<std::uint64_t> grouped;  ///< comp in `merged` @ epoch
+        std::vector<std::uint64_t> looped;   ///< comp in `loop` @ epoch
+        std::vector<int> visits;             ///< solves, valid if touched
+        std::vector<std::int32_t> touched_list;
+        /// Bucket queue by level: loop components in [0, depth), the rest
+        /// in [depth, 2 * depth).
+        std::vector<std::vector<std::int32_t>> bucket;
         std::vector<SV> before;
+        std::uint64_t epoch = 0;
+        long long solves = 0;
+        long long loop_restarts = 0;
+        long long cap_hits = 0;
     };
 
-    void simulate_fault(std::size_t fi, int vector_index, Scratch& scratch,
+    void simulate_fault(std::size_t fi, int vector_index, Scratch& s,
                         const SwitchSim::State& good,
                         const SwitchSim::State& good_prev);
 
     void check_iddq(std::size_t fi, int vector_index,
                     const SwitchSim::State& good);
+
+    /// Levels the fault-free CCC dependency graph and derives each fault's
+    /// feedback loop set from it.
+    void compile_components();
 
     const SwitchSim* sim_;
     std::vector<WeightedFault> faults_;
@@ -128,6 +166,13 @@ private:
     std::vector<int> detected_at_;
     std::vector<int> iddq_at_;
     double total_weight_ = 0.0;
+
+    /// Static topological level of each component in the fault-free CCC
+    /// graph; components on or below a fault-free cycle share the level
+    /// past the deepest ordered one.
+    std::vector<std::int32_t> level_;
+    std::int32_t depth_ = 1;  ///< number of levels
+    long long cap_hits_ = 0;
 
     SwitchSim::State good_;          ///< fault-free state after the sequence
     std::vector<char> po_mask_;      ///< node -> is a PO node

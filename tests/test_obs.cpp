@@ -370,6 +370,43 @@ TEST_F(ObsTest, SwitchSimCountersBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial, run(4));
 }
 
+TEST_F(ObsTest, SwitchSolverCountersOnC432Flow) {
+#if !DLPROJ_OBS_ENABLED
+    GTEST_SKIP() << "instrumentation compiled out (-DDLPROJ_OBS=OFF)";
+#endif
+    // The c432 flow's switch-level stage: the event-driven solver stays
+    // under 10 component solves per fault-vector, never truncates at
+    // max_sweeps, and its counters are identical at 1 and 4 threads.
+    flow::ExperimentRunner runner(netlist::build_c432());
+    const auto& p = runner.prepare();
+    const auto& t = runner.generate_tests();
+    const switchsim::SwitchSim sim(p.swnet, flow::ExperimentOptions{}.sim);
+    const auto faults = flow::to_switch_faults(p.extraction, p.chip, p.swnet);
+    const auto vectors = std::span<const switchsim::Vector>(t.tests.vectors);
+
+    const auto run = [&](int threads) {
+        obs::reset();
+        switchsim::SwitchFaultSimulator fs(sim, faults, {threads});
+        fs.apply(vectors);
+        EXPECT_EQ(fs.cap_hits(), 0);
+        auto counters = counters_by_prefix("faultsim.switch.");
+        // Each fault is simulated up to and including its detection.
+        long long fault_vectors = 0;
+        for (int at : fs.first_detected_at())
+            fault_vectors += at > 0 ? at : static_cast<long long>(vectors.size());
+        counters["fault_vectors"] = fault_vectors;
+        return counters;
+    };
+    const auto serial = run(1);
+    EXPECT_EQ(serial.at("faultsim.switch.cap_hits"), 0);
+    EXPECT_GT(serial.at("faultsim.switch.loop_restarts"), 0)
+        << "c432 has feedback bridges";
+    EXPECT_GT(serial.at("faultsim.switch.solves"), 0);
+    EXPECT_LE(serial.at("faultsim.switch.solves"),
+              10 * serial.at("fault_vectors"));
+    EXPECT_EQ(serial, run(4));
+}
+
 TEST_F(ObsTest, AtpgCountersAreReproducible) {
 #if !DLPROJ_OBS_ENABLED
     GTEST_SKIP() << "instrumentation compiled out (-DDLPROJ_OBS=OFF)";

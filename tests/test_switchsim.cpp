@@ -1,8 +1,16 @@
 // Tests for the switch-level simulator: fault-free equivalence with the
 // gate-level simulator, bridge arbitration, stuck-open charge retention,
-// floating gates, and the incremental fault simulator.
+// floating gates, and the incremental fault simulator - including its
+// differential against brute-force step_faulty re-simulation on the
+// extracted fault lists of the flow, and its metamorphic invariances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <numeric>
+#include <random>
+
+#include "flow/experiment.h"
 #include "gatesim/logic_sim.h"
 #include "gatesim/patterns.h"
 #include "netlist/builders.h"
@@ -34,6 +42,85 @@ void step_vec_faulty(const SwitchSim& sim, SwitchSim::State& st,
     std::unique_ptr<bool[]> b(new bool[v.size()]);
     for (size_t i = 0; i < v.size(); ++i) b[i] = v[i];
     sim.step_faulty(st, std::span<const bool>(b.get(), v.size()), f);
+}
+
+/// Brute-force reference: every fault re-simulated from scratch with
+/// SwitchSim::step_faulty over the whole sequence, against one fault-free
+/// trace.  Returns each fault's first voltage detection and first IDDQ
+/// flag (1-based vector index, -1 = never), with the simulator's
+/// conventions: a gross fault fails vector 1, a floating pad never
+/// detects, a bridge draws IDDQ when the good machine drives its ends
+/// apart.
+struct Reference {
+    std::vector<int> detected_at;
+    std::vector<int> iddq_at;
+};
+
+Reference brute_force(const SwitchSim& sim,
+                      std::span<const WeightedFault> faults,
+                      std::span<const Vector> vectors) {
+    std::vector<SwitchSim::State> good;
+    auto st = sim.initial_state();
+    for (const Vector& v : vectors) {
+        step_vec(sim, st, v);
+        good.push_back(st);
+    }
+
+    Reference ref;
+    for (const WeightedFault& wf : faults) {
+        const SwitchFault& f = wf.fault;
+        int det = -1;
+        int iddq = -1;
+        if (f.kind == SwitchFault::Kind::Gross) {
+            det = iddq = 1;
+        } else {
+            if (f.kind == SwitchFault::Kind::Bridge)
+                for (size_t k = 0; k < good.size() && iddq < 0; ++k) {
+                    bool saw0 = false;
+                    bool saw1 = false;
+                    for (NodeId n : {f.a, f.b, f.c}) {
+                        if (n < 0) continue;
+                        saw0 |= good[k][static_cast<size_t>(n)] == SV::Zero;
+                        saw1 |= good[k][static_cast<size_t>(n)] == SV::One;
+                    }
+                    if (saw0 && saw1) iddq = static_cast<int>(k) + 1;
+                }
+            auto faulty = sim.initial_state();
+            for (size_t k = 0; k < vectors.size() && det < 0; ++k) {
+                step_vec_faulty(sim, faulty, vectors[k], f);
+                const auto go = sim.outputs(good[k]);
+                const auto fo = sim.outputs(faulty);
+                for (size_t o = 0; o < go.size(); ++o)
+                    if (static_cast<int>(o) != f.po_float && go[o] != SV::X &&
+                        fo[o] != SV::X && go[o] != fo[o]) {
+                        det = static_cast<int>(k) + 1;
+                        break;
+                    }
+            }
+        }
+        ref.detected_at.push_back(det);
+        ref.iddq_at.push_back(iddq);
+    }
+    return ref;
+}
+
+void expect_matches_reference(const SwitchSim& sim,
+                              const std::vector<WeightedFault>& faults,
+                              const std::vector<Vector>& vectors) {
+    SwitchFaultSimulator inc(sim, faults);
+    inc.apply(vectors);
+    const Reference ref = brute_force(sim, faults, vectors);
+    for (size_t fi = 0; fi < faults.size(); ++fi) {
+        EXPECT_EQ(inc.first_detected_at()[fi], ref.detected_at[fi])
+            << faults[fi].name << ": incremental vs brute force";
+        EXPECT_EQ(inc.iddq_detected_at()[fi], ref.iddq_at[fi])
+            << faults[fi].name << ": IDDQ";
+    }
+}
+
+std::vector<Vector> random_vectors(const Circuit& c, int n,
+                                   std::uint64_t seed) {
+    return gatesim::RandomPatternGenerator(seed).vectors(c, n);
 }
 
 class GoodSimEquivalence
@@ -266,30 +353,7 @@ TEST(ThreeNodeBridge, IncrementalMatchesBruteForce) {
         f.name = "bridge3_" + std::to_string(n);
         faults.push_back(f);
     }
-    gatesim::RandomPatternGenerator rng(23);
-    const auto vectors = rng.vectors(c, 40);
-    SwitchFaultSimulator inc(sim, faults);
-    std::vector<Vector> vv;
-    for (const auto& v : vectors) vv.push_back(unpack(v));
-    inc.apply(vv);
-
-    for (size_t fi = 0; fi < faults.size(); ++fi) {
-        auto good = sim.initial_state();
-        auto faulty = sim.initial_state();
-        int first = -1;
-        for (size_t k = 0; k < vectors.size() && first < 0; ++k) {
-            step_vec(sim, good, vectors[k]);
-            step_vec_faulty(sim, faulty, vectors[k], faults[fi].fault);
-            const auto go = sim.outputs(good);
-            const auto fo = sim.outputs(faulty);
-            for (size_t o = 0; o < go.size(); ++o)
-                if (go[o] != SV::X && fo[o] != SV::X && go[o] != fo[o]) {
-                    first = static_cast<int>(k) + 1;
-                    break;
-                }
-        }
-        EXPECT_EQ(inc.first_detected_at()[fi], first) << faults[fi].name;
-    }
+    expect_matches_reference(sim, faults, random_vectors(c, 40, 23));
 }
 
 TEST(Iddq, FlagsConductingBridgesOnly) {
@@ -368,34 +432,324 @@ TEST(SwitchFaultSimulator, IncrementalMatchesFullResimulation) {
         faults.push_back(g);
     }
 
-    gatesim::RandomPatternGenerator rng(13);
-    const auto vectors = rng.vectors(c, 48);
+    expect_matches_reference(sim, faults, random_vectors(c, 48, 13));
+}
 
-    SwitchFaultSimulator inc(sim, faults);
-    std::vector<Vector> vv;
-    for (const auto& v : vectors) vv.push_back(unpack(v));
-    inc.apply(vv);
+// ---- oracle differential on extracted fault lists ------------------------
 
-    // Brute force reference.
-    for (size_t fi = 0; fi < faults.size(); ++fi) {
-        auto good = sim.initial_state();
-        auto faulty = sim.initial_state();
-        int first = -1;
-        for (size_t k = 0; k < vectors.size(); ++k) {
-            step_vec(sim, good, vectors[k]);
-            step_vec_faulty(sim, faulty, vectors[k], faults[fi].fault);
-            const auto go = sim.outputs(good);
-            const auto fo = sim.outputs(faulty);
-            for (size_t o = 0; o < go.size(); ++o)
-                if (go[o] != SV::X && fo[o] != SV::X && go[o] != fo[o]) {
-                    first = static_cast<int>(k) + 1;
-                    break;
-                }
-            if (first >= 0) break;
-        }
-        EXPECT_EQ(inc.first_detected_at()[fi], first)
-            << faults[fi].name << ": incremental vs brute force";
+/// The extracted, weighted switch-level fault list of the flow, with the
+/// prepared design that owns its switch netlist.
+struct FlowFaults {
+    explicit FlowFaults(netlist::Circuit circuit)
+        : runner(std::move(circuit)),
+          design(runner.prepare()),
+          sim(design.swnet, flow::ExperimentOptions{}.sim),
+          faults(flow::to_switch_faults(design.extraction, design.chip,
+                                        design.swnet)) {}
+    flow::ExperimentRunner runner;
+    const flow::ExperimentRunner::PreparedDesign& design;
+    SwitchSim sim;
+    std::vector<WeightedFault> faults;
+};
+
+/// True when the bridge's ends lie in distinct channel-connected
+/// components and one reaches another through gate dependencies: the
+/// merged group then feeds itself.
+bool is_feedback_bridge(const SwitchSim& sim, const SwitchFault& f) {
+    if (f.kind != SwitchFault::Kind::Bridge) return false;
+    std::vector<std::int32_t> group;
+    for (NodeId n : {f.a, f.b, f.c}) {
+        if (n < 0) continue;
+        const std::int32_t c = sim.component_of()[static_cast<size_t>(n)];
+        if (c >= 0 && std::find(group.begin(), group.end(), c) == group.end())
+            group.push_back(c);
     }
+    if (group.size() < 2) return false;
+    for (std::int32_t from : group) {
+        std::vector<char> seen(static_cast<size_t>(sim.component_count()), 0);
+        std::vector<std::int32_t> stack{from};
+        while (!stack.empty()) {
+            const std::int32_t c = stack.back();
+            stack.pop_back();
+            for (NodeId v : sim.component_nodes(c))
+                for (std::int32_t r : sim.gate_dependents(v)) {
+                    if (seen[static_cast<size_t>(r)]) continue;
+                    if (r != from && std::find(group.begin(), group.end(),
+                                               r) != group.end())
+                        return true;
+                    seen[static_cast<size_t>(r)] = 1;
+                    stack.push_back(r);
+                }
+        }
+    }
+    return false;
+}
+
+/// About 200 extracted c432 faults, seeded: half feedback bridges, half
+/// everything else.
+std::vector<WeightedFault> c432_sample(const FlowFaults& ff) {
+    std::vector<size_t> loops;
+    std::vector<size_t> others;
+    for (size_t i = 0; i < ff.faults.size(); ++i)
+        (is_feedback_bridge(ff.sim, ff.faults[i].fault) ? loops : others)
+            .push_back(i);
+    std::mt19937 rng(432);
+    std::shuffle(loops.begin(), loops.end(), rng);
+    std::shuffle(others.begin(), others.end(), rng);
+    std::vector<size_t> pick(loops.begin(),
+                             loops.begin() + std::min<size_t>(100, loops.size()));
+    pick.insert(pick.end(), others.begin(),
+                others.begin() + std::min<size_t>(100, others.size()));
+    std::sort(pick.begin(), pick.end());
+    std::vector<WeightedFault> out;
+    for (size_t i : pick) out.push_back(ff.faults[i]);
+    return out;
+}
+
+class ExtractedFaultList
+    : public ::testing::TestWithParam<std::function<Circuit()>> {};
+
+TEST_P(ExtractedFaultList, IncrementalMatchesFullResimulation) {
+    const FlowFaults ff(GetParam()());
+    ASSERT_FALSE(ff.faults.empty());
+    expect_matches_reference(ff.sim, ff.faults,
+                             random_vectors(ff.design.mapped, 48, 19));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Flow, ExtractedFaultList,
+    ::testing::Values([] { return netlist::build_c17(); },
+                      [] { return netlist::build_ripple_adder(3); },
+                      [] { return netlist::build_ripple_adder(4); },
+                      [] { return netlist::build_parity_tree(8); },
+                      [] {
+                          return netlist::build_random_circuit(8, 24, 77);
+                      }));
+
+TEST(ExtractedFaultListC432, SeededSampleWithFeedbackBridges) {
+    const FlowFaults ff(netlist::build_c432());
+    const auto sample = c432_sample(ff);
+    const auto loops = std::count_if(
+        sample.begin(), sample.end(), [&](const WeightedFault& f) {
+            return is_feedback_bridge(ff.sim, f.fault);
+        });
+    ASSERT_GE(loops, 50) << "the sample must exercise feedback bridges";
+    ASSERT_GE(sample.size(), 190u);
+    expect_matches_reference(ff.sim, sample,
+                             random_vectors(ff.design.mapped, 32, 7));
+}
+
+/// g1 = NAND(a, b) feeds g2 = NOT(g1), which feeds g3 = NAND(g2, d).
+/// Shorting g1 to g3 closes a loop g1/g3 -> g2 -> g1/g3.  The sequence
+/// revisits every input combination.
+class FeedbackBridge : public ::testing::Test {
+protected:
+    FeedbackBridge() {
+        const auto a = circuit.add_input("a");
+        const auto b = circuit.add_input("b");
+        const auto d = circuit.add_input("d");
+        const auto g1 =
+            circuit.add_gate(netlist::GateType::Nand, "g1", {a, b});
+        const auto g2 = circuit.add_gate(netlist::GateType::Not, "g2", {g1});
+        const auto g3 =
+            circuit.add_gate(netlist::GateType::Nand, "g3", {g2, d});
+        circuit.mark_output(g2);
+        circuit.mark_output(g3);
+        net = build_switch_netlist(circuit);
+        bridge.fault.kind = SwitchFault::Kind::Bridge;
+        bridge.fault.a = net.node_of_net(g1);
+        bridge.fault.b = net.node_of_net(g3);
+        bridge.name = "bridge_g1_g3";
+        std::mt19937 rng(5);
+        for (int k = 0; k < 64; ++k) {
+            const unsigned x = rng() % 8u;
+            vectors.push_back({(x & 1u) != 0, (x & 2u) != 0, (x & 4u) != 0});
+        }
+    }
+    Circuit circuit{"loop"};
+    SwitchNetlist net;
+    WeightedFault bridge;
+    std::vector<Vector> vectors;
+};
+
+TEST_F(FeedbackBridge, LoopRestartWithChargeRetention) {
+    // Stuck-opens on every transistor of the loop's cells ride in the same
+    // fault list, so loop restarts and retained charge interleave in one
+    // worker's scratch.
+    const SwitchSim sim(net);
+    ASSERT_TRUE(is_feedback_bridge(sim, bridge.fault));
+    std::vector<WeightedFault> faults;
+    for (int t = 0; t < static_cast<int>(net.transistors.size()); ++t) {
+        faults.push_back(bridge);
+        WeightedFault open;
+        open.fault.kind = SwitchFault::Kind::TransistorOpen;
+        open.fault.transistors = {t};
+        open.name = "open" + std::to_string(t);
+        faults.push_back(open);
+    }
+    expect_matches_reference(sim, faults, vectors);
+
+    // The loop is live: somewhere in the sequence the bridged machine's
+    // outputs differ from the fault-free ones.
+    auto good = sim.initial_state();
+    auto faulty = sim.initial_state();
+    bool diverged = false;
+    for (const Vector& v : vectors) {
+        step_vec(sim, good, v);
+        step_vec_faulty(sim, faulty, v, bridge.fault);
+        diverged |= sim.outputs(good) != sim.outputs(faulty);
+    }
+    EXPECT_TRUE(diverged);
+}
+
+TEST_F(FeedbackBridge, CapHitsAreReportedNotSilent) {
+    // One solve per component per fault-vector cannot settle the loop from
+    // X; every skipped re-solve is counted.  The default cap never binds.
+    SimParams tight;
+    tight.max_sweeps = 1;
+    const SwitchSim capped(net, tight);
+    SwitchFaultSimulator fs(capped, {bridge});
+    fs.apply(vectors);
+    EXPECT_GT(fs.cap_hits(), 0);
+
+    const SwitchSim sim(net);
+    SwitchFaultSimulator settled(sim, {bridge});
+    settled.apply(vectors);
+    EXPECT_EQ(settled.cap_hits(), 0);
+}
+
+TEST(FaultFreeCycle, MatchesReference) {
+    // A hand-built cross-coupled NAND latch: its two components read each
+    // other, so the fault-free CCC graph itself has a cycle.  The reference
+    // restarts every vector from X; the incremental simulator must agree.
+    SwitchNetlist net;
+    enum : NodeId { kS = 2, kR = 3, kQ = 4, kQb = 5, kN1 = 6, kN2 = 7 };
+    net.node_count = 8;
+    net.input_nodes = {kS, kR};
+    net.output_nodes = {kQ, kQb};
+    const auto nand = [&](NodeId out, NodeId in, NodeId fb, NodeId mid) {
+        net.transistors.push_back({true, in, SwitchNetlist::kVdd, out});
+        net.transistors.push_back({true, fb, SwitchNetlist::kVdd, out});
+        net.transistors.push_back({false, in, out, mid});
+        net.transistors.push_back({false, fb, mid, SwitchNetlist::kGnd});
+    };
+    nand(kQ, kS, kQb, kN1);
+    nand(kQb, kR, kQ, kN2);
+    const SwitchSim sim(net);
+
+    std::vector<WeightedFault> faults;
+    for (int t = 0; t < static_cast<int>(net.transistors.size()); ++t) {
+        WeightedFault open;
+        open.fault.kind = SwitchFault::Kind::TransistorOpen;
+        open.fault.transistors = {t};
+        open.name = "open" + std::to_string(t);
+        faults.push_back(open);
+    }
+    for (const auto& [x, y] : std::vector<std::pair<NodeId, NodeId>>{
+             {kQ, kQb}, {kS, kQ}, {kN1, kQb}, {kS, kR}}) {
+        WeightedFault br;
+        br.fault.kind = SwitchFault::Kind::Bridge;
+        br.fault.a = x;
+        br.fault.b = y;
+        br.name = "bridge" + std::to_string(x) + "_" + std::to_string(y);
+        faults.push_back(br);
+    }
+    std::mt19937 rng(11);
+    std::vector<Vector> vv;
+    for (int k = 0; k < 48; ++k) {
+        const unsigned x = rng() % 4u;
+        vv.push_back({(x & 1u) != 0, (x & 2u) != 0});
+    }
+    expect_matches_reference(sim, faults, vv);
+}
+
+// ---- metamorphic invariances ---------------------------------------------
+
+struct Outcome {
+    std::vector<int> detected_at;
+    std::vector<int> iddq_at;
+    std::vector<double> theta;
+    std::vector<double> gamma;
+    std::vector<double> theta_iddq;
+};
+
+Outcome run_outcome(const SwitchSim& sim,
+                    const std::vector<WeightedFault>& faults,
+                    std::span<const Vector> vectors, int threads,
+                    std::span<const size_t> splits = {}) {
+    SwitchFaultSimulator fs(sim, faults, parallel::ParallelOptions{threads});
+    size_t at = 0;
+    for (size_t cut : splits) {
+        fs.apply(vectors.subspan(at, cut - at));
+        at = cut;
+    }
+    fs.apply(vectors.subspan(at));
+    return {{fs.first_detected_at().begin(), fs.first_detected_at().end()},
+            {fs.iddq_detected_at().begin(), fs.iddq_detected_at().end()},
+            fs.weighted_coverage_curve(),
+            fs.unweighted_coverage_curve(),
+            fs.weighted_coverage_curve_with_iddq()};
+}
+
+void expect_same(const Outcome& got, const Outcome& want) {
+    EXPECT_EQ(got.detected_at, want.detected_at);
+    EXPECT_EQ(got.iddq_at, want.iddq_at);
+    EXPECT_EQ(got.theta, want.theta);
+    EXPECT_EQ(got.gamma, want.gamma);
+    EXPECT_EQ(got.theta_iddq, want.theta_iddq);
+}
+
+void expect_metamorphic(const SwitchSim& sim,
+                        const std::vector<WeightedFault>& faults,
+                        const std::vector<Vector>& vectors) {
+    const Outcome base = run_outcome(sim, faults, vectors, 1);
+
+    for (int threads : {2, 4, 8}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        expect_same(run_outcome(sim, faults, vectors, threads), base);
+    }
+
+    const size_t n = vectors.size();
+    const std::vector<std::vector<size_t>> split_sets{
+        {1}, {n / 2}, {3, 64 % n, n - 1}, {5, 6, 7, n / 3, (2 * n) / 3}};
+    for (const auto& splits : split_sets) {
+        std::vector<size_t> cuts(splits);
+        std::sort(cuts.begin(), cuts.end());
+        SCOPED_TRACE("split at " + std::to_string(cuts.front()));
+        expect_same(run_outcome(sim, faults, vectors, 3, cuts), base);
+    }
+
+    // Permuting the fault list permutes the per-fault results.  Gamma counts
+    // faults and stays exact; theta sums weights in fault order, so it may
+    // move in the last bits (tens of ulps over thousands of faults).
+    std::vector<size_t> perm(faults.size());
+    std::iota(perm.begin(), perm.end(), 0);
+    std::shuffle(perm.begin(), perm.end(), std::mt19937(99));
+    std::vector<WeightedFault> shuffled;
+    for (size_t i : perm) shuffled.push_back(faults[i]);
+    const Outcome p = run_outcome(sim, shuffled, vectors, 4);
+    for (size_t i = 0; i < perm.size(); ++i) {
+        EXPECT_EQ(p.detected_at[i], base.detected_at[perm[i]]);
+        EXPECT_EQ(p.iddq_at[i], base.iddq_at[perm[i]]);
+    }
+    EXPECT_EQ(p.gamma, base.gamma);
+    ASSERT_EQ(p.theta.size(), base.theta.size());
+    for (size_t k = 0; k < p.theta.size(); ++k) {
+        EXPECT_NEAR(p.theta[k], base.theta[k], 1e-12);
+        EXPECT_NEAR(p.theta_iddq[k], base.theta_iddq[k], 1e-12);
+    }
+}
+
+TEST_P(ExtractedFaultList, MetamorphicInvariances) {
+    const FlowFaults ff(GetParam()());
+    expect_metamorphic(ff.sim, ff.faults,
+                       random_vectors(ff.design.mapped, 96, 23));
+}
+
+TEST(ExtractedFaultListC432, MetamorphicInvariances) {
+    const FlowFaults ff(netlist::build_c432());
+    expect_metamorphic(ff.sim, c432_sample(ff),
+                       random_vectors(ff.design.mapped, 80, 29));
 }
 
 TEST(ParallelDeterminism, ThreadCountInvariant) {
