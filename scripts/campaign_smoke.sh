@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Campaign smoke test, run by the `campaign_cli` CTest entry and the CI
-# campaign job.  Exercises the dlproj_campaign CLI end to end against
-# data/demo.campaign (a 12-cell grid) and asserts the cache and sharding
-# guarantees that the campaign subsystem makes:
+# Campaign smoke test, run by the `campaign_cli*` CTest entries and the CI
+# campaign job.  Exercises the dlproj_campaign CLI end to end against a
+# spec (default data/demo.campaign, a 12-cell grid; also
+# data/clustered.campaign and data/axes.campaign) and asserts the cache
+# and sharding guarantees that the campaign subsystem makes:
 #   1. a cold run completes every cell (all misses);
 #   2. a warm re-run is served 100% from the artifact cache and its
 #      JSON/CSV reports are byte-identical to the cold run's;

@@ -40,27 +40,13 @@ namespace {
 /// Keyword-checked token reader over a serialized artifact.
 class Reader {
 public:
-    explicit Reader(const std::string& text) : in_(text) {}
+    explicit Reader(const std::string& text)
+        : in_(text), size_(text.size()) {}
 
     void magic(const char* expected) {
         std::string line;
         if (!std::getline(in_, line) || line != expected)
             bad(std::string("expected magic '") + expected + "'");
-    }
-    /// Reads "<stem> <version>" and returns the version; rejects anything
-    /// outside [1, max_version] (future versions are a cache miss, not a
-    /// best-effort parse).
-    int versioned_magic(const char* stem, int max_version) {
-        std::string line;
-        if (!std::getline(in_, line))
-            bad(std::string("expected magic '") + stem + "'");
-        std::istringstream ls(line);
-        std::string word, extra;
-        int v = 0;
-        if (!(ls >> word >> v) || word != stem || (ls >> extra) || v < 1 ||
-            v > max_version)
-            bad("unsupported artifact header '" + line + "'");
-        return v;
     }
     /// Reads "<key> <integer>".
     long long field(const char* key) {
@@ -68,6 +54,18 @@ public:
         long long v = 0;
         if (!(in_ >> v)) bad(std::string("bad integer for ") + key);
         return v;
+    }
+    /// Reads "<key> <count>" where every counted item takes at least one
+    /// byte, so no count can exceed the bytes left: a corrupt count is a
+    /// parse error, never a huge allocation.
+    std::size_t count(const char* key) {
+        const long long n = field(key);
+        const std::streamoff pos = in_.tellg();
+        const std::size_t left =
+            pos < 0 ? 0 : size_ - static_cast<std::size_t>(pos);
+        if (n < 0 || static_cast<unsigned long long>(n) > left)
+            bad(std::string("bad count for ") + key);
+        return static_cast<std::size_t>(n);
     }
     /// Reads "<key> <hex double>".
     double dfield(const char* key) {
@@ -86,24 +84,36 @@ public:
     }
     /// Reads "<key> <count>" then `count` whitespace-separated ints.
     std::vector<int> ints(const char* key) {
-        const long long n = field(key);
-        if (n < 0) bad(std::string("negative count for ") + key);
-        std::vector<int> out(static_cast<std::size_t>(n));
+        std::vector<int> out(count(key));
         for (int& v : out)
             if (!(in_ >> v)) bad(std::string("truncated ") + key);
         return out;
     }
     /// Reads "<key> <count>" then `count` hex doubles.
     flow::CoverageCurve curve(const char* key) {
-        const long long n = field(key);
-        if (n < 0) bad(std::string("negative count for ") + key);
-        std::vector<double> out(static_cast<std::size_t>(n));
+        std::vector<double> out(count(key));
         std::string tok;
         for (double& v : out) {
             if (!(in_ >> tok)) bad(std::string("truncated ") + key);
             v = parse_double_hex(tok);
         }
         return flow::CoverageCurve(std::move(out));
+    }
+    /// Reads "<key> <count>" then `count` "net reader pin value" lines
+    /// (reader -1 for a stem fault).
+    std::vector<gatesim::StuckAtFault> faults(const char* key) {
+        std::vector<gatesim::StuckAtFault> out(count(key));
+        for (auto& f : out) {
+            long long net = 0, reader = 0, pin = 0, sv = 0;
+            if (!(in_ >> net >> reader >> pin >> sv))
+                bad("truncated fault list");
+            f.net = static_cast<netlist::NetId>(net);
+            f.reader = reader < 0 ? netlist::kNoNet
+                                  : static_cast<netlist::NetId>(reader);
+            f.pin = static_cast<int>(pin);
+            f.stuck_value = sv != 0;
+        }
+        return out;
     }
     std::istringstream& stream() { return in_; }
 
@@ -115,6 +125,7 @@ private:
                 "'");
     }
     std::istringstream in_;
+    std::size_t size_;
 };
 
 void put_curve(std::ostream& out, const char* key,
@@ -131,6 +142,17 @@ void put_ints(std::ostream& out, const char* key,
     out << "\n";
 }
 
+void put_faults(std::ostream& out, const char* key,
+                const std::vector<gatesim::StuckAtFault>& f) {
+    out << key << " " << f.size() << "\n";
+    for (const auto& s : f) {
+        const long long reader =
+            s.is_stem() ? -1 : static_cast<long long>(s.reader);
+        out << s.net << " " << reader << " " << s.pin << " "
+            << (s.stuck_value ? 1 : 0) << "\n";
+    }
+}
+
 support::StopReason stop_from_int(long long v) {
     if (v < 0 || v > static_cast<long long>(support::StopReason::LintFailed))
         bad("bad stop reason");
@@ -142,52 +164,20 @@ support::StopReason stop_from_int(long long v) {
 std::string serialize_faults(const std::vector<gatesim::StuckAtFault>& f) {
     std::ostringstream out;
     out << "dlproj-faults 1\n";
-    out << "count " << f.size() << "\n";
-    for (const auto& s : f) {
-        const long long reader =
-            s.is_stem() ? -1 : static_cast<long long>(s.reader);
-        out << s.net << " " << reader << " " << s.pin << " "
-            << (s.stuck_value ? 1 : 0) << "\n";
-    }
+    put_faults(out, "count", f);
     return out.str();
 }
 
 std::vector<gatesim::StuckAtFault> parse_faults(const std::string& text) {
     Reader r(text);
     r.magic("dlproj-faults 1");
-    const long long n = r.field("count");
-    std::vector<gatesim::StuckAtFault> out(static_cast<std::size_t>(n));
-    for (auto& f : out) {
-        long long net = 0, reader = 0, pin = 0, sv = 0;
-        if (!(r.stream() >> net >> reader >> pin >> sv))
-            bad("truncated fault list");
-        f.net = static_cast<netlist::NetId>(net);
-        f.reader = reader < 0 ? netlist::kNoNet
-                              : static_cast<netlist::NetId>(reader);
-        f.pin = static_cast<int>(pin);
-        f.stuck_value = sv != 0;
-    }
-    return out;
+    return r.faults("count");
 }
 
 std::string serialize_tests(const flow::ExperimentRunner::TestSet& t) {
-    // Classic single-detection test sets keep the version-1 byte layout;
-    // n-detect sets (which carry extra tables) emit version 2, and sets
-    // built with untestability marks (which carry the uncorrected curve)
-    // emit version 3 — which includes the version-2 tables, trivial or
-    // not, so each version is a strict extension of the last.
-    const int version =
-        !t.t_curve_raw.empty() ? 3 : (t.tests.ndetect > 1 ? 2 : 1);
-    const bool v2 = version >= 2;
     std::ostringstream out;
-    out << "dlproj-tests " << version << "\n";
-    out << "stuck " << t.stuck.size() << "\n";
-    for (const auto& s : t.stuck) {
-        const long long reader =
-            s.is_stem() ? -1 : static_cast<long long>(s.reader);
-        out << s.net << " " << reader << " " << s.pin << " "
-            << (s.stuck_value ? 1 : 0) << "\n";
-    }
+    out << "dlproj-tests 4\n";
+    put_faults(out, "stuck", t.stuck);
     out << "random_count " << t.tests.random_count << "\n";
     out << "deterministic_count " << t.tests.deterministic_count << "\n";
     out << "detected " << t.tests.detected << "\n";
@@ -195,13 +185,11 @@ std::string serialize_tests(const flow::ExperimentRunner::TestSet& t) {
     out << "aborted " << t.tests.aborted << "\n";
     out << "untargeted " << t.tests.untargeted << "\n";
     out << "stop " << static_cast<int>(t.tests.stop) << "\n";
-    if (v2) {
-        out << "ndetect " << t.tests.ndetect << "\n";
-        out << "topup_random " << t.tests.topup_random_count << "\n";
-        out << "topup_weighted " << t.tests.topup_weighted_count << "\n";
-        out << "topup_deterministic " << t.tests.topup_deterministic_count
-            << "\n";
-    }
+    out << "ndetect " << t.tests.ndetect << "\n";
+    out << "topup_random " << t.tests.topup_random_count << "\n";
+    out << "topup_weighted " << t.tests.topup_weighted_count << "\n";
+    out << "topup_deterministic " << t.tests.topup_deterministic_count
+        << "\n";
     const std::size_t width =
         t.tests.vectors.empty() ? 0 : t.tests.vectors.front().size();
     out << "width " << width << "\n";
@@ -213,34 +201,21 @@ std::string serialize_tests(const flow::ExperimentRunner::TestSet& t) {
         out << bits << "\n";
     }
     put_ints(out, "first_detected_at", t.tests.first_detected_at);
-    if (v2) {
-        put_ints(out, "detection_counts", t.tests.detection_counts);
-        put_ints(out, "nth_detected_at", t.tests.nth_detected_at);
-    }
+    put_ints(out, "detection_counts", t.tests.detection_counts);
+    put_ints(out, "nth_detected_at", t.tests.nth_detected_at);
     out << "status " << t.tests.status.size();
     for (const auto s : t.tests.status) out << " " << static_cast<int>(s);
     out << "\n";
     put_curve(out, "t_curve", t.t_curve);
-    if (version >= 3) put_curve(out, "t_curve_raw", t.t_curve_raw);
+    put_curve(out, "t_curve_raw", t.t_curve_raw);
     return out.str();
 }
 
 flow::ExperimentRunner::TestSet parse_tests(const std::string& text) {
     Reader r(text);
-    const int version = r.versioned_magic("dlproj-tests", 3);
+    r.magic("dlproj-tests 4");
     flow::ExperimentRunner::TestSet t;
-    const long long nstuck = r.field("stuck");
-    t.stuck.resize(static_cast<std::size_t>(nstuck));
-    for (auto& f : t.stuck) {
-        long long net = 0, reader = 0, pin = 0, sv = 0;
-        if (!(r.stream() >> net >> reader >> pin >> sv))
-            bad("truncated fault list");
-        f.net = static_cast<netlist::NetId>(net);
-        f.reader = reader < 0 ? netlist::kNoNet
-                              : static_cast<netlist::NetId>(reader);
-        f.pin = static_cast<int>(pin);
-        f.stuck_value = sv != 0;
-    }
+    t.stuck = r.faults("stuck");
     t.tests.random_count = static_cast<int>(r.field("random_count"));
     t.tests.deterministic_count =
         static_cast<int>(r.field("deterministic_count"));
@@ -249,19 +224,15 @@ flow::ExperimentRunner::TestSet parse_tests(const std::string& text) {
     t.tests.aborted = static_cast<std::size_t>(r.field("aborted"));
     t.tests.untargeted = static_cast<std::size_t>(r.field("untargeted"));
     t.tests.stop = stop_from_int(r.field("stop"));
-    if (version >= 2) {
-        t.tests.ndetect = static_cast<int>(r.field("ndetect"));
-        if (t.tests.ndetect < 1) bad("bad ndetect target");
-        t.tests.topup_random_count =
-            static_cast<int>(r.field("topup_random"));
-        t.tests.topup_weighted_count =
-            static_cast<int>(r.field("topup_weighted"));
-        t.tests.topup_deterministic_count =
-            static_cast<int>(r.field("topup_deterministic"));
-    }
+    t.tests.ndetect = static_cast<int>(r.field("ndetect"));
+    if (t.tests.ndetect < 1) bad("bad ndetect target");
+    t.tests.topup_random_count = static_cast<int>(r.field("topup_random"));
+    t.tests.topup_weighted_count =
+        static_cast<int>(r.field("topup_weighted"));
+    t.tests.topup_deterministic_count =
+        static_cast<int>(r.field("topup_deterministic"));
     const long long width = r.field("width");
-    const long long nvec = r.field("vectors");
-    t.tests.vectors.resize(static_cast<std::size_t>(nvec));
+    t.tests.vectors.resize(r.count("vectors"));
     std::string bits;
     for (auto& v : t.tests.vectors) {
         if (!(r.stream() >> bits) ||
@@ -271,17 +242,8 @@ flow::ExperimentRunner::TestSet parse_tests(const std::string& text) {
         for (std::size_t i = 0; i < bits.size(); ++i) v[i] = bits[i] == '1';
     }
     t.tests.first_detected_at = r.ints("first_detected_at");
-    if (version >= 2) {
-        t.tests.detection_counts = r.ints("detection_counts");
-        t.tests.nth_detected_at = r.ints("nth_detected_at");
-    } else {
-        // Version-1 artifacts predate per-fault counting; at a target of
-        // 1 the counts are exactly the 0/1 image of first detection.
-        t.tests.detection_counts.reserve(t.tests.first_detected_at.size());
-        for (const int at : t.tests.first_detected_at)
-            t.tests.detection_counts.push_back(at >= 0 ? 1 : 0);
-        t.tests.nth_detected_at = t.tests.first_detected_at;
-    }
+    t.tests.detection_counts = r.ints("detection_counts");
+    t.tests.nth_detected_at = r.ints("nth_detected_at");
     const std::vector<int> status = r.ints("status");
     t.tests.status.reserve(status.size());
     for (const int s : status) {
@@ -290,7 +252,7 @@ flow::ExperimentRunner::TestSet parse_tests(const std::string& text) {
         t.tests.status.push_back(static_cast<atpg::FaultStatus>(s));
     }
     t.t_curve = r.curve("t_curve");
-    if (version >= 3) t.t_curve_raw = r.curve("t_curve_raw");
+    t.t_curve_raw = r.curve("t_curve_raw");
     return t;
 }
 
@@ -326,13 +288,8 @@ flow::ExperimentRunner::SimulationData parse_simulation(
 }
 
 std::string serialize_cell(const CellResult& c) {
-    const bool clustered =
-        !c.defect_stats.empty() && c.defect_stats != "poisson";
-    const int version =
-        clustered ? 4 : (c.analysis ? 3 : (c.ndetect > 1 ? 2 : 1));
-    const bool v2 = version >= 2;
     std::ostringstream out;
-    out << "dlproj-cell " << version << "\n";
+    out << "dlproj-cell 5\n";
     out << "circuit " << c.circuit << "\n";
     out << "rules " << c.rules << "\n";
     out << "atpg " << c.atpg << "\n";
@@ -347,36 +304,26 @@ std::string serialize_cell(const CellResult& c) {
     out << "fit_r " << double_hex(c.fit_r) << "\n";
     out << "fit_theta_max " << double_hex(c.fit_theta_max) << "\n";
     out << "fit_rms " << double_hex(c.fit_rms) << "\n";
-    if (v2) {
-        out << "ndetect " << c.ndetect << "\n";
-        out << "ndetect_min " << c.ndetect_min << "\n";
-        out << "ndetect_mean " << double_hex(c.ndetect_mean) << "\n";
-        out << "worst_case_coverage " << double_hex(c.worst_case_coverage)
-            << "\n";
-        out << "avg_case_coverage " << double_hex(c.avg_case_coverage)
-            << "\n";
-    }
-    if (version >= 3) {
-        out << "untestable_faults " << c.untestable_faults << "\n";
-        out << "fit_raw_r " << double_hex(c.fit_raw_r) << "\n";
-        out << "fit_raw_theta_max " << double_hex(c.fit_raw_theta_max)
-            << "\n";
-    }
-    if (version >= 4) {
-        // v3 implied analysis-on; v4 carries any analysis x backend
-        // combination, so the flag becomes explicit.
-        out << "analysis " << (c.analysis ? 1 : 0) << "\n";
-        out << "defect_stats " << c.defect_stats << "\n";
-        out << "stat_yield " << double_hex(c.stat_yield) << "\n";
-        out << "fit_c_r " << double_hex(c.fit_c_r) << "\n";
-        out << "fit_c_theta_max " << double_hex(c.fit_c_theta_max) << "\n";
-        out << "fit_c_alpha " << double_hex(c.fit_c_alpha) << "\n";
-        out << "fit_c_rms " << double_hex(c.fit_c_rms) << "\n";
-    }
+    out << "ndetect " << c.ndetect << "\n";
+    out << "ndetect_min " << c.ndetect_min << "\n";
+    out << "ndetect_mean " << double_hex(c.ndetect_mean) << "\n";
+    out << "worst_case_coverage " << double_hex(c.worst_case_coverage)
+        << "\n";
+    out << "avg_case_coverage " << double_hex(c.avg_case_coverage) << "\n";
+    out << "analysis " << (c.analysis ? 1 : 0) << "\n";
+    out << "untestable_faults " << c.untestable_faults << "\n";
+    out << "fit_raw_r " << double_hex(c.fit_raw_r) << "\n";
+    out << "fit_raw_theta_max " << double_hex(c.fit_raw_theta_max) << "\n";
+    out << "defect_stats " << c.defect_stats << "\n";
+    out << "stat_yield " << double_hex(c.stat_yield) << "\n";
+    out << "fit_c_r " << double_hex(c.fit_c_r) << "\n";
+    out << "fit_c_theta_max " << double_hex(c.fit_c_theta_max) << "\n";
+    out << "fit_c_alpha " << double_hex(c.fit_c_alpha) << "\n";
+    out << "fit_c_rms " << double_hex(c.fit_c_rms) << "\n";
     out << "interruption " << (c.interruption.empty() ? "-" : c.interruption)
         << "\n";
     put_curve(out, "t_curve", c.t_curve);
-    if (version >= 3) put_curve(out, "t_curve_raw", c.t_curve_raw);
+    put_curve(out, "t_curve_raw", c.t_curve_raw);
     put_curve(out, "theta_curve", c.theta_curve);
     put_curve(out, "gamma_curve", c.gamma_curve);
     put_curve(out, "theta_iddq_curve", c.theta_iddq_curve);
@@ -385,7 +332,7 @@ std::string serialize_cell(const CellResult& c) {
 
 CellResult parse_cell(const std::string& text) {
     Reader r(text);
-    const int version = r.versioned_magic("dlproj-cell", 4);
+    r.magic("dlproj-cell 5");
     CellResult c;
     c.circuit = r.sfield("circuit");
     c.rules = r.sfield("rules");
@@ -402,60 +349,31 @@ CellResult parse_cell(const std::string& text) {
     c.fit_r = r.dfield("fit_r");
     c.fit_theta_max = r.dfield("fit_theta_max");
     c.fit_rms = r.dfield("fit_rms");
-    if (version >= 2) {
-        c.ndetect = static_cast<int>(r.field("ndetect"));
-        if (c.ndetect < 1) bad("bad ndetect target");
-        c.ndetect_min = static_cast<int>(r.field("ndetect_min"));
-        c.ndetect_mean = r.dfield("ndetect_mean");
-        c.worst_case_coverage = r.dfield("worst_case_coverage");
-        c.avg_case_coverage = r.dfield("avg_case_coverage");
-    }
-    if (version >= 3) {
-        c.analysis = true;  // v3 only existed for analysis cells
-        c.untestable_faults =
-            static_cast<std::size_t>(r.field("untestable_faults"));
-        c.fit_raw_r = r.dfield("fit_raw_r");
-        c.fit_raw_theta_max = r.dfield("fit_raw_theta_max");
-    }
-    if (version >= 4) {
-        c.analysis = r.field("analysis") != 0;
-        c.defect_stats = r.sfield("defect_stats");
-        if (c.defect_stats.empty()) bad("empty defect_stats descriptor");
-        c.stat_yield = r.dfield("stat_yield");
-        c.fit_c_r = r.dfield("fit_c_r");
-        c.fit_c_theta_max = r.dfield("fit_c_theta_max");
-        c.fit_c_alpha = r.dfield("fit_c_alpha");
-        c.fit_c_rms = r.dfield("fit_c_rms");
-    }
+    c.ndetect = static_cast<int>(r.field("ndetect"));
+    if (c.ndetect < 1) bad("bad ndetect target");
+    c.ndetect_min = static_cast<int>(r.field("ndetect_min"));
+    c.ndetect_mean = r.dfield("ndetect_mean");
+    c.worst_case_coverage = r.dfield("worst_case_coverage");
+    c.avg_case_coverage = r.dfield("avg_case_coverage");
+    c.analysis = r.field("analysis") != 0;
+    c.untestable_faults =
+        static_cast<std::size_t>(r.field("untestable_faults"));
+    c.fit_raw_r = r.dfield("fit_raw_r");
+    c.fit_raw_theta_max = r.dfield("fit_raw_theta_max");
+    c.defect_stats = r.sfield("defect_stats");
+    if (c.defect_stats.empty()) bad("empty defect_stats descriptor");
+    c.stat_yield = r.dfield("stat_yield");
+    c.fit_c_r = r.dfield("fit_c_r");
+    c.fit_c_theta_max = r.dfield("fit_c_theta_max");
+    c.fit_c_alpha = r.dfield("fit_c_alpha");
+    c.fit_c_rms = r.dfield("fit_c_rms");
     c.interruption = r.sfield("interruption");
     if (c.interruption == "-") c.interruption.clear();
     c.t_curve = r.curve("t_curve");
-    if (version >= 3) c.t_curve_raw = r.curve("t_curve_raw");
+    c.t_curve_raw = r.curve("t_curve_raw");
     c.theta_curve = r.curve("theta_curve");
     c.gamma_curve = r.curve("gamma_curve");
     c.theta_iddq_curve = r.curve("theta_iddq_curve");
-    if (version < 2) {
-        // A v1 cell is a classic n=1 cell, where every quality figure
-        // collapses to the testable-fault coverage — which is exactly
-        // T(k)'s final value (both are detected/testable with the same
-        // integer-valued operands, so the doubles are bit-identical).
-        // Deriving them here keeps a warm resume of an ndetect-axis grid
-        // byte-identical to a cold run when its n=1 cells hit artifacts
-        // written by a classic (or pre-n-detect) campaign.
-        const double cov = c.t_curve.final();
-        c.ndetect_mean = cov;
-        c.worst_case_coverage = cov;
-        c.avg_case_coverage = cov;
-        c.ndetect_min = cov == 1.0 ? 1 : 0;
-    }
-    if (version < 4) {
-        // Pre-backend artifacts are Poisson cells, where the clustered
-        // yield IS the Poisson yield (the same e^-lambda bits).  Deriving
-        // it keeps a warm resume of a defect_stats-axis grid
-        // byte-identical to a cold run when its poisson cells hit
-        // artifacts written by a classic campaign.
-        c.stat_yield = c.yield;
-    }
     return c;
 }
 
@@ -463,13 +381,7 @@ std::string serialize_analysis(
     const flow::ExperimentRunner::AnalysisData& a) {
     std::ostringstream out;
     out << "dlproj-analysis 1\n";
-    out << "stuck " << a.stuck.size() << "\n";
-    for (const auto& s : a.stuck) {
-        const long long reader =
-            s.is_stem() ? -1 : static_cast<long long>(s.reader);
-        out << s.net << " " << reader << " " << s.pin << " "
-            << (s.stuck_value ? 1 : 0) << "\n";
-    }
+    put_faults(out, "stuck", a.stuck);
     out << "untestable " << a.untestable.size();
     for (const auto m : a.untestable) out << " " << static_cast<int>(m);
     out << "\n";
@@ -488,18 +400,7 @@ flow::ExperimentRunner::AnalysisData parse_analysis(
     Reader r(text);
     r.magic("dlproj-analysis 1");
     flow::ExperimentRunner::AnalysisData a;
-    const long long nstuck = r.field("stuck");
-    a.stuck.resize(static_cast<std::size_t>(nstuck));
-    for (auto& f : a.stuck) {
-        long long net = 0, reader = 0, pin = 0, sv = 0;
-        if (!(r.stream() >> net >> reader >> pin >> sv))
-            bad("truncated fault list");
-        f.net = static_cast<netlist::NetId>(net);
-        f.reader = reader < 0 ? netlist::kNoNet
-                              : static_cast<netlist::NetId>(reader);
-        f.pin = static_cast<int>(pin);
-        f.stuck_value = sv != 0;
-    }
+    a.stuck = r.faults("stuck");
     const std::vector<int> marks = r.ints("untestable");
     if (marks.size() != a.stuck.size())
         bad("untestable mask size mismatch");

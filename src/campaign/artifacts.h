@@ -7,21 +7,12 @@
 // IEEE-754 bit pattern, so a deserialized artifact is bit-identical to the
 // one that was stored — the resume-from-cache guarantee ("a resumed
 // campaign reproduces the uninterrupted report byte for byte") rests on
-// this.  Every document carries a versioned magic line; parse_* throw
-// std::runtime_error on any mismatch, which the campaign runner treats as
-// a cache miss.
-//
-// n-detection cells (ndetect > 1) serialize as version 2 of the tests/cell
-// formats, which append the detection-count tables and quality figures;
-// analysis cells (untestability analysis on) serialize as version 3, which
-// additionally appends the uncorrected coverage curve and the raw fit;
-// clustered cells (a non-Poisson defect-statistics backend) serialize as
-// cell version 4, which additionally appends an explicit analysis flag
-// (v3 implied analysis-on; v4 carries any combination), the backend
-// descriptor, the clustered yield and the joint clustered fit.  Classic
-// cells keep emitting version 1 byte for byte, so caches warmed before any
-// of the axes existed stay valid and classic artifacts stay byte-identical
-// across the changes.  Parsers accept all versions.
+// this.  Each artifact kind has exactly one layout, a fixed field order
+// written unconditionally (classic cells carry their trivial n-detect,
+// analysis and clustering fields too), behind one magic line; parse_*
+// throw std::runtime_error on any mismatch, which the campaign runner
+// treats as a cache miss.  A layout change bumps the magic, so a cache
+// written before it misses once and is recomputed.
 #pragma once
 
 #include <string>
@@ -56,24 +47,24 @@ struct CellResult {
 
     // n-detection quality (Pomeranz & Reddy worst/average case over
     // testable faults; see model/ndetect.h).  Trivial at the default
-    // target 1, and only serialized/reported for n-detect cells.
+    // target 1, and only reported for campaigns with an ndetect axis.
     int ndetect = 1;             ///< the cell's n-detection target
     int ndetect_min = 0;         ///< min detections over testable faults
     double ndetect_mean = 0.0;   ///< mean detections over testable faults
     double worst_case_coverage = 0.0;  ///< frac of faults at the target
     double avg_case_coverage = 0.0;    ///< mean min(count, n)/n
 
-    // Static untestability analysis (src/analysis).  Only serialized and
-    // reported for analysis cells (v3); classic cells leave the defaults.
+    // Static untestability analysis (src/analysis).  Only reported for
+    // campaigns with an analysis axis; analysis-off cells leave the
+    // defaults.
     bool analysis = false;      ///< the analyze() stage ran for this cell
     std::size_t untestable_faults = 0;  ///< faults proven untestable
     double fit_raw_r = 0.0;             ///< eq (11) fit of the raw curve
     double fit_raw_theta_max = 0.0;
 
     // Defect-statistics backend (model/defect_stats_model.h).  Only
-    // serialized for non-Poisson cells (v4); Poisson cells leave the
-    // defaults and reports derive their clustered columns on the fly, so
-    // a v1 cache hit equals a fresh Poisson cell byte for byte.
+    // reported for campaigns with a defect_stats axis; Poisson cells leave
+    // the fit_c_* defaults.
     std::string defect_stats = "poisson";  ///< canonical descriptor
     double stat_yield = 1.0;   ///< yield under the backend (== yield for
                                ///< Poisson)

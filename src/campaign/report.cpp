@@ -6,6 +6,7 @@
 
 #include "model/defect_stats_model.h"
 #include "model/dl_models.h"
+#include "support/json_quote.h"
 
 namespace dlp::campaign {
 
@@ -18,20 +19,6 @@ std::string num(double v) {
     char buf[40];
     std::snprintf(buf, sizeof buf, "%.17g", v);
     return buf;
-}
-
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\') out.push_back('\\');
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out.push_back(c);
-    }
-    return out;
 }
 
 void put_curve_json(std::ostream& out, const char* name,
@@ -62,8 +49,8 @@ double clustered_dl_ppm(const CellResult& c) {
     // lambda = -ln(Y) (weight scaling is Poisson-based for every
     // backend).  Derived from serialized fields only, so a fresh cell and
     // a cache-hit cell report the same bytes.
-    const model::DefectStatsModel backend = model::parse_defect_stats(
-        c.defect_stats.empty() ? "poisson" : c.defect_stats);
+    const model::DefectStatsModel backend =
+        model::parse_defect_stats(c.defect_stats);
     const double lambda = c.yield > 0.0 ? -std::log(c.yield) : 0.0;
     return model::to_ppm(backend.dl(lambda, c.theta_curve.final()));
 }
@@ -73,26 +60,25 @@ double clustered_dl_ppm(const CellResult& c) {
 std::string report_json(const CampaignReport& report) {
     std::ostringstream out;
     out << "{\n";
-    out << "  \"campaign\": \"" << json_escape(report.name) << "\",\n";
+    out << "  \"campaign\": " << support::json_quote(report.name) << ",\n";
     out << "  \"cells\": [\n";
     for (std::size_t i = 0; i < report.cells.size(); ++i) {
         const CellResult& c = report.cells[i];
         out << "    {\n";
         out << "      \"index\": " << c.index << ",\n";
-        out << "      \"circuit\": \"" << json_escape(c.circuit) << "\",\n";
-        out << "      \"rules\": \"" << json_escape(c.rules) << "\",\n";
+        out << "      \"circuit\": " << support::json_quote(c.circuit)
+            << ",\n";
+        out << "      \"rules\": " << support::json_quote(c.rules) << ",\n";
         out << "      \"seed\": " << c.seed << ",\n";
-        out << "      \"atpg\": \"" << json_escape(c.atpg) << "\",\n";
+        out << "      \"atpg\": " << support::json_quote(c.atpg) << ",\n";
         if (report.ndetect_axis)
             out << "      \"ndetect\": " << c.ndetect << ",\n";
         if (report.analysis_axis)
             out << "      \"analysis\": " << (c.analysis ? "true" : "false")
                 << ",\n";
         if (report.defect_stats_axis)
-            out << "      \"defect_stats\": \""
-                << json_escape(c.defect_stats.empty() ? "poisson"
-                                                      : c.defect_stats)
-                << "\",\n";
+            out << "      \"defect_stats\": "
+                << support::json_quote(c.defect_stats) << ",\n";
         out << "      \"mapped_gates\": " << c.mapped_gates << ",\n";
         out << "      \"stuck_faults\": " << c.stuck_faults << ",\n";
         out << "      \"realistic_faults\": " << c.realistic_faults << ",\n";
@@ -132,8 +118,8 @@ std::string report_json(const CampaignReport& report) {
                 << num(c.fit_c_theta_max) << ", \"fit_c_alpha\": "
                 << num(c.fit_c_alpha) << ", \"fit_c_rms\": "
                 << num(c.fit_c_rms) << "},\n";
-        out << "      \"interruption\": \"" << json_escape(c.interruption)
-            << "\",\n";
+        out << "      \"interruption\": "
+            << support::json_quote(c.interruption) << ",\n";
         put_curve_json(out, "t_curve", c.t_curve);
         if (report.analysis_axis)
             put_curve_json(out, "t_curve_raw", c.t_curve_raw);

@@ -64,15 +64,15 @@ CellKeys make_keys(const CampaignSpec& spec, const Cell& cell,
           << "max_vectors " << spec.max_vectors << "\n";
         // The n-detection target (and the top-up mix, which only matters
         // beyond the first detection) enter the key only when they can
-        // change the test set, so classic cells keep their v1 keys and
-        // pre-existing warm caches stay hits.
+        // change the test set, so the n=1 cells of an ndetect-axis grid
+        // share the classic cells' artifacts.
         if (atpg.ndetect > 1)
             o << "ndetect " << atpg.ndetect << "\n"
               << "ndetect_mix " << atpg::ndetect_mix_name(atpg.ndetect_mix)
               << "\n";
         // Likewise for the untestability analysis: marks change the test
         // set (proven faults settle Redundant), so only analysis cells key
-        // on it and classic cells keep hitting pre-existing caches.
+        // on it and analysis-off cells share the classic artifacts.
         if (analysis) o << "analysis on\n";
         k.tests = o.str();
     }
@@ -120,17 +120,17 @@ CellResult make_cell_result(const Cell& cell, bool analysis,
     c.worst_case_coverage = r.ndetect.worst_case_coverage;
     c.avg_case_coverage = r.ndetect.avg_case_coverage;
     c.analysis = analysis;
-    // Only analysis cells carry the raw figures: ProposedFit defaults are
-    // not zero, and copying them into an off cell would make a fresh cell
-    // differ from a cache-parsed v1 cell.
+    // Only analysis cells carry the raw figures: an analysis-off cell
+    // reports zero untestable faults and an empty raw curve, not the
+    // ProposedFit defaults of a raw fit that never ran.
     if (analysis) {
         c.untestable_faults = r.untestable_faults;
         c.fit_raw_r = r.fit_raw.r;
         c.fit_raw_theta_max = r.fit_raw.theta_max;
         c.t_curve_raw = r.t_curve_raw;
     }
-    // stat_yield is bit-identical to yield for Poisson backends, so this
-    // unconditional copy matches what parse_cell derives for a v1 hit.
+    // stat_yield is bit-identical to yield for Poisson backends; only
+    // clustered cells carry a descriptor and a joint clustered fit.
     c.stat_yield = r.stat_yield;
     const std::string backend = r.defect_stats.describe();
     if (backend != "poisson") {

@@ -37,36 +37,99 @@ std::vector<std::string> split_list(const std::string& s) {
                              what);
 }
 
-long long parse_int(const std::string& v, int line) {
+// Value errors carry no location: parse_campaign_spec prefixes the spec
+// line, and dlproj_campaign names the flag that carried the value.
+[[noreturn]] void reject(const std::string& what) {
+    throw std::runtime_error(what);
+}
+
+long long parse_int(const std::string& v) {
     try {
         size_t pos = 0;
         const long long n = std::stoll(v, &pos);
-        if (pos != v.size()) fail(line, "trailing junk in integer '" + v + "'");
+        if (pos != v.size()) reject("trailing junk in integer '" + v + "'");
         return n;
     } catch (const std::runtime_error&) {
         throw;
     } catch (const std::exception&) {
-        fail(line, "expected an integer, got '" + v + "'");
+        reject("expected an integer, got '" + v + "'");
     }
 }
 
-double parse_double(const std::string& v, int line) {
+double parse_double(const std::string& v) {
     try {
         size_t pos = 0;
         const double d = std::stod(v, &pos);
-        if (pos != v.size()) fail(line, "trailing junk in number '" + v + "'");
+        if (pos != v.size()) reject("trailing junk in number '" + v + "'");
         return d;
     } catch (const std::runtime_error&) {
         throw;
     } catch (const std::exception&) {
-        fail(line, "expected a number, got '" + v + "'");
+        reject("expected a number, got '" + v + "'");
     }
 }
 
-bool parse_bool(const std::string& v, int line) {
+bool parse_bool(const std::string& v) {
     if (v == "true" || v == "on" || v == "1") return true;
     if (v == "false" || v == "off" || v == "0") return false;
-    fail(line, "expected a boolean (true/false/on/off/1/0), got '" + v + "'");
+    reject("expected a boolean (true/false/on/off/1/0), got '" + v + "'");
+}
+
+/// Applies one `key = value` line of `section` to `spec`.
+void set_key(CampaignSpec& spec, const std::string& section,
+             const std::string& key, const std::string& value,
+             std::vector<std::string>& atpg_selection) {
+    if (section == "campaign") {
+        if (key == "name")
+            spec.name = value;
+        else if (key == "target_yield")
+            spec.target_yield = parse_double(value);
+        else if (key == "max_vectors")
+            spec.max_vectors = parse_int(value);
+        else if (key == "weighted")
+            spec.weighted = parse_bool(value);
+        else if (key == "lint")
+            spec.lint = parse_bool(value);
+        else
+            reject("unknown [campaign] key '" + key + "'");
+    } else if (section == "grid") {
+        if (key == "circuits")
+            spec.circuits = split_list(value);
+        else if (key == "rules")
+            spec.rules = split_list(value);
+        else if (key == "seeds") {
+            spec.seeds.clear();
+            for (const std::string& v : split_list(value))
+                spec.seeds.push_back(
+                    static_cast<std::uint64_t>(parse_int(v)));
+        } else if (key == "atpg")
+            atpg_selection = split_list(value);
+        else if (key == "ndetect" || key == "analysis" ||
+                 key == "defect_stats")
+            set_grid_axis(spec, key, value);
+        else
+            reject("unknown [grid] key '" + key + "'");
+    } else if (section.rfind("atpg.", 0) == 0) {
+        atpg::TestGenOptions& o = spec.atpg.back().options;
+        if (key == "random_block")
+            o.random_block = static_cast<int>(parse_int(value));
+        else if (key == "max_random")
+            o.max_random = static_cast<int>(parse_int(value));
+        else if (key == "stale_blocks")
+            o.stale_blocks = static_cast<int>(parse_int(value));
+        else if (key == "backtrack_limit")
+            o.backtrack_limit = static_cast<int>(parse_int(value));
+        else if (key == "ndetect_mix") {
+            try {
+                o.ndetect_mix = atpg::parse_ndetect_mix(value);
+            } catch (const std::invalid_argument& e) {
+                reject(e.what());
+            }
+        } else
+            reject("unknown [" + section + "] key '" + key + "'");
+    } else {
+        reject("key outside any section");
+    }
 }
 
 bool ends_with(const std::string& s, const char* suffix) {
@@ -124,6 +187,40 @@ const AtpgVariant& atpg_variant(const CampaignSpec& spec,
     throw std::runtime_error("unknown ATPG variant '" + name + "'");
 }
 
+void set_grid_axis(CampaignSpec& spec, const std::string& key,
+                   const std::string& list) {
+    const std::vector<std::string> items = split_list(list);
+    if (items.empty()) reject("[grid] " + key + " is empty");
+    if (key == "ndetect") {
+        spec.ndetect.clear();
+        for (const std::string& v : items) {
+            const long long n = parse_int(v);
+            if (n < 1 || n > 64)
+                reject("ndetect target out of range [1, 64]: '" + v + "'");
+            spec.ndetect.push_back(static_cast<int>(n));
+        }
+    } else if (key == "analysis") {
+        spec.analysis.clear();
+        for (const std::string& v : items)
+            spec.analysis.push_back(parse_bool(v) ? 1 : 0);
+    } else if (key == "defect_stats") {
+        spec.defect_stats.clear();
+        for (const std::string& v : items) {
+            // Canonicalize through the model parser so equal backends
+            // spelled differently ("negbin:inf" vs "poisson") land on one
+            // cache key.
+            try {
+                spec.defect_stats.push_back(
+                    model::parse_defect_stats(v).describe());
+            } catch (const std::invalid_argument& e) {
+                reject(e.what());
+            }
+        }
+    } else {
+        reject("unknown [grid] axis '" + key + "'");
+    }
+}
+
 CampaignSpec parse_campaign_spec(const std::string& text) {
     CampaignSpec spec;
     spec.seeds.clear();
@@ -161,86 +258,10 @@ CampaignSpec parse_campaign_spec(const std::string& text) {
         const std::string key = trim(s.substr(0, eq));
         const std::string value = trim(s.substr(eq + 1));
         if (key.empty()) fail(line, "empty key");
-        if (section == "campaign") {
-            if (key == "name")
-                spec.name = value;
-            else if (key == "target_yield")
-                spec.target_yield = parse_double(value, line);
-            else if (key == "max_vectors")
-                spec.max_vectors = parse_int(value, line);
-            else if (key == "weighted")
-                spec.weighted = parse_bool(value, line);
-            else if (key == "lint")
-                spec.lint = parse_bool(value, line);
-            else
-                fail(line, "unknown [campaign] key '" + key + "'");
-        } else if (section == "grid") {
-            if (key == "circuits")
-                spec.circuits = split_list(value);
-            else if (key == "rules")
-                spec.rules = split_list(value);
-            else if (key == "seeds") {
-                spec.seeds.clear();
-                for (const std::string& v : split_list(value))
-                    spec.seeds.push_back(
-                        static_cast<std::uint64_t>(parse_int(v, line)));
-            } else if (key == "atpg")
-                atpg_selection = split_list(value);
-            else if (key == "ndetect") {
-                spec.ndetect.clear();
-                for (const std::string& v : split_list(value)) {
-                    const long long n = parse_int(v, line);
-                    if (n < 1 || n > 64)
-                        fail(line, "ndetect target out of range [1, 64]: '" +
-                                       v + "'");
-                    spec.ndetect.push_back(static_cast<int>(n));
-                }
-                if (spec.ndetect.empty())
-                    fail(line, "[grid] ndetect is empty");
-            } else if (key == "analysis") {
-                spec.analysis.clear();
-                for (const std::string& v : split_list(value))
-                    spec.analysis.push_back(parse_bool(v, line) ? 1 : 0);
-                if (spec.analysis.empty())
-                    fail(line, "[grid] analysis is empty");
-            } else if (key == "defect_stats") {
-                spec.defect_stats.clear();
-                for (const std::string& v : split_list(value)) {
-                    // Canonicalize through the model parser so equal
-                    // backends spelled differently ("negbin:inf" vs
-                    // "poisson") land on one cache key, and bad
-                    // descriptors fail at spec-parse time with a line.
-                    try {
-                        spec.defect_stats.push_back(
-                            model::parse_defect_stats(v).describe());
-                    } catch (const std::invalid_argument& e) {
-                        fail(line, e.what());
-                    }
-                }
-                if (spec.defect_stats.empty())
-                    fail(line, "[grid] defect_stats is empty");
-            } else
-                fail(line, "unknown [grid] key '" + key + "'");
-        } else if (section.rfind("atpg.", 0) == 0) {
-            atpg::TestGenOptions& o = spec.atpg.back().options;
-            if (key == "random_block")
-                o.random_block = static_cast<int>(parse_int(value, line));
-            else if (key == "max_random")
-                o.max_random = static_cast<int>(parse_int(value, line));
-            else if (key == "stale_blocks")
-                o.stale_blocks = static_cast<int>(parse_int(value, line));
-            else if (key == "backtrack_limit")
-                o.backtrack_limit = static_cast<int>(parse_int(value, line));
-            else if (key == "ndetect_mix") {
-                try {
-                    o.ndetect_mix = atpg::parse_ndetect_mix(value);
-                } catch (const std::invalid_argument& e) {
-                    fail(line, e.what());
-                }
-            } else
-                fail(line, "unknown [" + section + "] key '" + key + "'");
-        } else {
-            fail(line, "key outside any section");
+        try {
+            set_key(spec, section, key, value, atpg_selection);
+        } catch (const std::runtime_error& e) {
+            fail(line, e.what());
         }
     }
 

@@ -131,6 +131,13 @@ const AtpgVariant& atpg_variant(const CampaignSpec& spec,
 /// message on malformed input, unknown keys, or an empty grid axis.
 CampaignSpec parse_campaign_spec(const std::string& text);
 
+/// Replaces the [grid] list axis `key` (ndetect, analysis or defect_stats)
+/// of `spec` with the comma-separated `list`, validated and canonicalized
+/// exactly as the spec file's [grid] line is.  Throws std::runtime_error
+/// (without a line number) on a bad item or an empty list.
+void set_grid_axis(CampaignSpec& spec, const std::string& key,
+                   const std::string& list);
+
 /// Loads a spec file from disk.
 CampaignSpec load_campaign_spec(const std::string& path);
 

@@ -1,8 +1,9 @@
 #include "lint/diagnostics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
+
+#include "support/json_quote.h"
 
 namespace dlp::lint {
 
@@ -70,33 +71,6 @@ std::string render_text(std::span<const Diagnostic> diagnostics) {
     return out.str();
 }
 
-namespace {
-
-void json_escape(std::ostringstream& out, std::string_view s) {
-    out << '"';
-    for (char raw : s) {
-        const auto c = static_cast<unsigned char>(raw);
-        switch (c) {
-            case '"': out << "\\\""; break;
-            case '\\': out << "\\\\"; break;
-            case '\n': out << "\\n"; break;
-            case '\r': out << "\\r"; break;
-            case '\t': out << "\\t"; break;
-            default:
-                if (c < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out << buf;
-                } else {
-                    out << raw;
-                }
-        }
-    }
-    out << '"';
-}
-
-}  // namespace
-
 std::string render_json(std::span<const Diagnostic> diagnostics) {
     std::size_t counts[3] = {0, 0, 0};
     std::ostringstream out;
@@ -106,17 +80,13 @@ std::string render_json(std::span<const Diagnostic> diagnostics) {
         ++counts[static_cast<std::size_t>(d.severity)];
         if (!first) out << ", ";
         first = false;
-        out << "{\"check\": ";
-        json_escape(out, d.check);
-        out << ", \"severity\": ";
-        json_escape(out, severity_name(d.severity));
-        out << ", \"object\": ";
-        json_escape(out, d.object);
-        out << ", \"message\": ";
-        json_escape(out, d.message);
-        out << ", \"file\": ";
-        json_escape(out, d.loc.file);
-        out << ", \"line\": " << d.loc.line << "}";
+        out << "{\"check\": " << support::json_quote(d.check)
+            << ", \"severity\": "
+            << support::json_quote(severity_name(d.severity))
+            << ", \"object\": " << support::json_quote(d.object)
+            << ", \"message\": " << support::json_quote(d.message)
+            << ", \"file\": " << support::json_quote(d.loc.file)
+            << ", \"line\": " << d.loc.line << "}";
     }
     out << "], \"counts\": {\"error\": "
         << counts[static_cast<std::size_t>(Severity::Error)]

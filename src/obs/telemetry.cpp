@@ -9,6 +9,8 @@
 #include <memory>
 #include <mutex>
 
+#include "support/json_quote.h"
+
 namespace dlp::obs {
 
 namespace detail {
@@ -106,29 +108,6 @@ std::int64_t epoch_anchor() {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now() - t0)
         .count();
-}
-
-std::string json_escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
 }
 
 /// Reads DLPROJ_TRACE / DLPROJ_TELEMETRY once at load time and registers
@@ -346,8 +325,9 @@ std::string trace_json() {
             char buf[256];
             std::snprintf(buf, sizeof buf,
                           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-                          "\"tid\":%d,\"args\":{\"name\":\"%s\"}}",
-                          log->tid, json_escape(log->thread_name).c_str());
+                          "\"tid\":%d,\"args\":{\"name\":%s}}",
+                          log->tid,
+                          support::json_quote(log->thread_name).c_str());
             emit(buf);
         }
     }
@@ -357,14 +337,15 @@ std::string trace_json() {
         last_ns = std::max(last_ns, s.start_ns + s.dur_ns);
         char buf[256];
         std::snprintf(buf, sizeof buf,
-                      "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,"
+                      "{\"name\":%s,\"ph\":\"X\",\"ts\":%.3f,"
                       "\"dur\":%.3f,\"pid\":1,\"tid\":%d",
-                      json_escape(s.name).c_str(),
+                      support::json_quote(s.name).c_str(),
                       static_cast<double>(s.start_ns) / 1e3,
                       static_cast<double>(s.dur_ns) / 1e3, s.thread);
         std::string event = buf;
         if (!s.note.empty())
-            event += ",\"args\":{\"note\":\"" + json_escape(s.note) + "\"}";
+            event +=
+                ",\"args\":{\"note\":" + support::json_quote(s.note) + "}";
         event += "}";
         emit(event);
     }
@@ -372,9 +353,9 @@ std::string trace_json() {
     for (const auto& [name, value] : counters_snapshot()) {
         char buf[256];
         std::snprintf(buf, sizeof buf,
-                      "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,"
+                      "{\"name\":%s,\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,"
                       "\"tid\":0,\"args\":{\"value\":%lld}}",
-                      json_escape(name).c_str(),
+                      support::json_quote(name).c_str(),
                       static_cast<double>(last_ns) / 1e3, value);
         emit(buf);
     }

@@ -346,32 +346,6 @@ Json parse_json(std::string_view text, int max_depth) {
 
 // ---- writer ---------------------------------------------------------------
 
-std::string json_quote(std::string_view s) {
-    std::string out = "\"";
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\b': out += "\\b"; break;
-            case '\f': out += "\\f"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x",
-                                  static_cast<unsigned char>(c));
-                    out += buf;
-                } else {
-                    out.push_back(c);
-                }
-        }
-    }
-    out.push_back('"');
-    return out;
-}
-
 namespace {
 
 void write_value(const Json& v, std::string& out) {

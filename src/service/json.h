@@ -22,6 +22,8 @@
 #include <utility>
 #include <vector>
 
+#include "support/json_quote.h"
+
 namespace dlp::service {
 
 class JsonError : public std::runtime_error {
@@ -90,6 +92,6 @@ Json parse_json(std::string_view text, int max_depth = 64);
 std::string write_json(const Json& value);
 
 /// Escapes `s` as a JSON string literal including the quotes.
-std::string json_quote(std::string_view s);
+using support::json_quote;
 
 }  // namespace dlp::service

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +19,7 @@
 #include "campaign/runner.h"
 #include "campaign/spec.h"
 #include "campaign/store.h"
+#include "service/json.h"
 
 namespace dlp::campaign {
 namespace {
@@ -240,40 +243,181 @@ TEST(CampaignCache, ColdThenWarmAccounting) {
     EXPECT_EQ(report_csv(warm), report_csv(cold));
 }
 
-TEST(CampaignNDetect, ClassicCellSerializesV1WithDerivedQuality) {
-    // A classic (n=1) cell keeps the version-1 artifact format byte for
-    // byte; parsing it back derives the trivial n=1 quality figures from
-    // T(k)'s final value, so a warm ndetect-axis resume over a classic (or
-    // pre-n-detect) cache reports the same bytes as a cold run.
-    CellResult c;
-    c.circuit = "c17";
-    c.rules = "bridging";
-    c.atpg = "default";
-    c.t_curve = flow::CoverageCurve({0.5, 0.875});
-    const std::string text = serialize_cell(c);
-    EXPECT_EQ(text.substr(0, text.find('\n')), "dlproj-cell 1");
-    EXPECT_EQ(text.find("ndetect"), std::string::npos);
-    const CellResult back = parse_cell(text);
-    EXPECT_EQ(back.ndetect, 1);
-    EXPECT_EQ(back.ndetect_min, 0);  // 0.875 < 1: some fault undetected
-    EXPECT_EQ(back.ndetect_mean, 0.875);
-    EXPECT_EQ(back.worst_case_coverage, 0.875);
-    EXPECT_EQ(back.avg_case_coverage, 0.875);
+// --- artifact formats ---------------------------------------------------
 
-    // An n-detect cell round-trips its measured figures through v2.
-    c.ndetect = 4;
-    c.ndetect_min = 2;
-    c.ndetect_mean = 3.25;
-    c.worst_case_coverage = 0.5;
-    c.avg_case_coverage = 0.8125;
-    const std::string text2 = serialize_cell(c);
-    EXPECT_EQ(text2.substr(0, text2.find('\n')), "dlproj-cell 2");
-    const CellResult back2 = parse_cell(text2);
-    EXPECT_EQ(back2.ndetect, 4);
-    EXPECT_EQ(back2.ndetect_min, 2);
-    EXPECT_EQ(back2.ndetect_mean, 3.25);
-    EXPECT_EQ(back2.worst_case_coverage, 0.5);
-    EXPECT_EQ(back2.avg_case_coverage, 0.8125);
+/// Asserts `a` and `b` hold the same bits in every serialized field.
+void expect_same_bits(double a, double b, const char* what) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+        << what;
+}
+
+void expect_same_curve(const flow::CoverageCurve& a,
+                       const flow::CoverageCurve& b, const char* what) {
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        expect_same_bits(a[i], b[i], what);
+}
+
+void expect_same_cell(const CellResult& a, const CellResult& b) {
+    EXPECT_EQ(a.circuit, b.circuit);
+    EXPECT_EQ(a.rules, b.rules);
+    EXPECT_EQ(a.atpg, b.atpg);
+    EXPECT_EQ(a.seed, b.seed);
+    EXPECT_EQ(a.mapped_gates, b.mapped_gates);
+    EXPECT_EQ(a.stuck_faults, b.stuck_faults);
+    EXPECT_EQ(a.realistic_faults, b.realistic_faults);
+    EXPECT_EQ(a.transistors, b.transistors);
+    EXPECT_EQ(a.vector_count, b.vector_count);
+    EXPECT_EQ(a.random_vectors, b.random_vectors);
+    expect_same_bits(a.yield, b.yield, "yield");
+    expect_same_bits(a.fit_r, b.fit_r, "fit_r");
+    expect_same_bits(a.fit_theta_max, b.fit_theta_max, "fit_theta_max");
+    expect_same_bits(a.fit_rms, b.fit_rms, "fit_rms");
+    EXPECT_EQ(a.ndetect, b.ndetect);
+    EXPECT_EQ(a.ndetect_min, b.ndetect_min);
+    expect_same_bits(a.ndetect_mean, b.ndetect_mean, "ndetect_mean");
+    expect_same_bits(a.worst_case_coverage, b.worst_case_coverage,
+                     "worst_case_coverage");
+    expect_same_bits(a.avg_case_coverage, b.avg_case_coverage,
+                     "avg_case_coverage");
+    EXPECT_EQ(a.analysis, b.analysis);
+    EXPECT_EQ(a.untestable_faults, b.untestable_faults);
+    expect_same_bits(a.fit_raw_r, b.fit_raw_r, "fit_raw_r");
+    expect_same_bits(a.fit_raw_theta_max, b.fit_raw_theta_max,
+                     "fit_raw_theta_max");
+    EXPECT_EQ(a.defect_stats, b.defect_stats);
+    expect_same_bits(a.stat_yield, b.stat_yield, "stat_yield");
+    expect_same_bits(a.fit_c_r, b.fit_c_r, "fit_c_r");
+    expect_same_bits(a.fit_c_theta_max, b.fit_c_theta_max, "fit_c_theta_max");
+    expect_same_bits(a.fit_c_alpha, b.fit_c_alpha, "fit_c_alpha");
+    expect_same_bits(a.fit_c_rms, b.fit_c_rms, "fit_c_rms");
+    EXPECT_EQ(a.interruption, b.interruption);
+    expect_same_curve(a.t_curve, b.t_curve, "t_curve");
+    expect_same_curve(a.t_curve_raw, b.t_curve_raw, "t_curve_raw");
+    expect_same_curve(a.theta_curve, b.theta_curve, "theta_curve");
+    expect_same_curve(a.gamma_curve, b.gamma_curve, "gamma_curve");
+    expect_same_curve(a.theta_iddq_curve, b.theta_iddq_curve,
+                      "theta_iddq_curve");
+}
+
+/// One cell per grid-axis field group: classic, n-detect, analysis, and
+/// clustered with analysis.
+std::vector<CellResult> cell_table() {
+    CellResult classic;
+    classic.circuit = "c17";
+    classic.rules = "bridging";
+    classic.atpg = "default";
+    classic.seed = 7;
+    classic.mapped_gates = 6;
+    classic.stuck_faults = 22;
+    classic.realistic_faults = 226;
+    classic.transistors = 24;
+    classic.vector_count = 12;
+    classic.random_vectors = 8;
+    classic.yield = 0.75;
+    classic.fit_r = 0.9470546668076807;
+    classic.fit_theta_max = 1.0000000000000857;
+    classic.fit_rms = 0.0625;
+    classic.ndetect_min = 0;
+    classic.ndetect_mean = 0.875;
+    classic.worst_case_coverage = 0.875;
+    classic.avg_case_coverage = 0.875;
+    classic.stat_yield = 0.75;
+    classic.t_curve = flow::CoverageCurve({0.5, 0.875});
+    classic.theta_curve = flow::CoverageCurve({0.25, 0.955084125050091});
+    classic.gamma_curve = flow::CoverageCurve({0.125, 0.5});
+    classic.theta_iddq_curve = flow::CoverageCurve({0.375, 1.0});
+
+    CellResult ndetect = classic;
+    ndetect.ndetect = 4;
+    ndetect.ndetect_min = 2;
+    ndetect.ndetect_mean = 3.25;
+    ndetect.worst_case_coverage = 0.5;
+    ndetect.avg_case_coverage = 0.8125;
+    ndetect.interruption = "switch-sim:VectorBudget";
+
+    CellResult analysis = classic;
+    analysis.analysis = true;
+    analysis.untestable_faults = 3;
+    analysis.fit_raw_r = 0.25;
+    analysis.fit_raw_theta_max = 1.5;
+    analysis.t_curve_raw = flow::CoverageCurve({0.375, 0.75});
+
+    CellResult clustered = analysis;
+    clustered.defect_stats = "negbin:2";
+    clustered.stat_yield = 0.8375;
+    clustered.fit_c_r = 0.25;
+    clustered.fit_c_theta_max = 1.5;
+    clustered.fit_c_alpha = 2.125;
+    clustered.fit_c_rms = 0.0625;
+    return {classic, ndetect, analysis, clustered};
+}
+
+TEST(CampaignArtifacts, CellRoundTripIsBitIdenticalForEveryAxis) {
+    // One layout writes every field: each axis's field group comes back
+    // bit for bit, and the classic cell's trivial groups are stored, not
+    // rebuilt on read.
+    for (const CellResult& c : cell_table()) {
+        SCOPED_TRACE(c.defect_stats + " ndetect " +
+                     std::to_string(c.ndetect) + " analysis " +
+                     std::to_string(c.analysis));
+        const std::string text = serialize_cell(c);
+        const CellResult back = parse_cell(text);
+        expect_same_cell(back, c);
+        EXPECT_EQ(serialize_cell(back), text);
+    }
+}
+
+TEST(CampaignArtifacts, EarlierCellLayoutsAreACacheMiss) {
+    // Any magic line but the current one is rejected, so a cache written
+    // by an earlier layout misses once and is recomputed.
+    const std::string text = serialize_cell(cell_table().front());
+    const std::string body = text.substr(text.find('\n'));
+    for (const char* magic : {"dlproj-cell 1", "dlproj-cell 2",
+                              "dlproj-cell 3", "dlproj-cell 4",
+                              "dlproj-cell 6", "dlproj-cell"})
+        EXPECT_THROW(parse_cell(magic + body), std::runtime_error) << magic;
+    EXPECT_THROW(parse_cell(""), std::runtime_error);
+}
+
+TEST(CampaignArtifacts, TestSetRoundTripIsBitIdentical) {
+    flow::ExperimentRunner::TestSet t;
+    t.stuck = {{2, netlist::kNoNet, -1, false}, {3, 4, 0, true}};
+    t.tests.vectors = {{true, false, true}, {false, false, true}};
+    t.tests.random_count = 1;
+    t.tests.deterministic_count = 1;
+    t.tests.detected = 2;
+    t.tests.first_detected_at = {1, 2};
+    t.tests.status = {atpg::FaultStatus::Detected,
+                      atpg::FaultStatus::Detected};
+    t.tests.ndetect = 2;
+    t.tests.detection_counts = {2, 1};
+    t.tests.nth_detected_at = {2, -1};
+    t.tests.topup_random_count = 1;
+    t.tests.topup_weighted_count = 2;
+    t.tests.topup_deterministic_count = 3;
+    t.t_curve = flow::CoverageCurve({0.5, 1.0});
+    t.t_curve_raw = flow::CoverageCurve({0.375, 0.75});
+    const std::string text = serialize_tests(t);
+    const auto back = parse_tests(text);
+    EXPECT_EQ(back.stuck, t.stuck);
+    EXPECT_EQ(back.tests.vectors, t.tests.vectors);
+    EXPECT_EQ(back.tests.random_count, 1);
+    EXPECT_EQ(back.tests.deterministic_count, 1);
+    EXPECT_EQ(back.tests.detected, 2u);
+    EXPECT_EQ(back.tests.first_detected_at, t.tests.first_detected_at);
+    EXPECT_EQ(back.tests.status, t.tests.status);
+    EXPECT_EQ(back.tests.ndetect, 2);
+    EXPECT_EQ(back.tests.detection_counts, t.tests.detection_counts);
+    EXPECT_EQ(back.tests.nth_detected_at, t.tests.nth_detected_at);
+    EXPECT_EQ(back.tests.topup_random_count, 1);
+    EXPECT_EQ(back.tests.topup_weighted_count, 2);
+    EXPECT_EQ(back.tests.topup_deterministic_count, 3);
+    expect_same_curve(back.t_curve, t.t_curve, "t_curve");
+    expect_same_curve(back.t_curve_raw, t.t_curve_raw, "t_curve_raw");
+    EXPECT_EQ(serialize_tests(back), text);
+    EXPECT_THROW(parse_tests("dlproj-tests 3" + text.substr(text.find('\n'))),
+                 std::runtime_error);
 }
 
 TEST(CampaignNDetect, AxisGridSharesClassicCacheByteIdentically) {
@@ -307,6 +451,25 @@ TEST(CampaignNDetect, AxisGridSharesClassicCacheByteIdentically) {
     EXPECT_EQ(warm.cells[0].ndetect_min, 1);
     EXPECT_GE(warm.cells[1].avg_case_coverage,
               warm.cells[1].worst_case_coverage);
+}
+
+TEST(CampaignReport, JsonEscapesControlCharactersAndRoundTrips) {
+    // Spec names and rule-deck paths are free text: a tab or a raw control
+    // byte must come out as a JSON escape, so the strict protocol parser
+    // (which the service applies to the same body) accepts the report.
+    CampaignSpec spec = parse_campaign_spec(kSmallSpec);
+    spec.name = "a\tb";
+    spec.circuits = {"c17"};
+    spec.rules = {"uniform"};
+    CampaignReport report = run_campaign(spec, CampaignOptions{});
+    ASSERT_EQ(report.cells.size(), 1u);
+    const std::string rules = "decks/\x01odd\n.rules";
+    report.cells[0].rules = rules;
+    const service::Json doc = service::parse_json(report_json(report));
+    EXPECT_EQ(doc.get("campaign")->as_string(), "a\tb");
+    const service::Json& cell = doc.get("cells")->items().at(0);
+    EXPECT_EQ(cell.get("rules")->as_string(), rules);
+    EXPECT_EQ(cell.get("circuit")->as_string(), "c17");
 }
 
 TEST(CampaignCache, TestsArtifactSharedAcrossRuleDecks) {
@@ -502,33 +665,6 @@ TEST(CampaignAnalysis, SpecAxisParsesAndEnumeratesInnermost) {
                  std::runtime_error);
 }
 
-TEST(CampaignAnalysis, CellArtifactV3RoundTrip) {
-    // Analysis cells serialize as version 3 and round-trip the raw-curve
-    // figures; classic cells keep the version-1 bytes untouched.
-    CellResult c;
-    c.circuit = "c17";
-    c.rules = "uniform";
-    c.atpg = "default";
-    c.t_curve = flow::CoverageCurve({0.5, 1.0});
-    EXPECT_EQ(serialize_cell(c).substr(0, 13), "dlproj-cell 1");
-
-    c.analysis = true;
-    c.untestable_faults = 3;
-    c.fit_raw_r = 0.25;
-    c.fit_raw_theta_max = 1.5;
-    c.t_curve_raw = flow::CoverageCurve({0.375, 0.75});
-    const std::string text = serialize_cell(c);
-    EXPECT_EQ(text.substr(0, 13), "dlproj-cell 3");
-    const CellResult back = parse_cell(text);
-    EXPECT_TRUE(back.analysis);
-    EXPECT_EQ(back.untestable_faults, 3u);
-    EXPECT_EQ(back.fit_raw_r, 0.25);
-    EXPECT_EQ(back.fit_raw_theta_max, 1.5);
-    ASSERT_EQ(back.t_curve_raw.size(), 2u);
-    EXPECT_EQ(back.t_curve_raw.final(), 0.75);
-    EXPECT_EQ(back.t_curve.final(), 1.0);
-}
-
 TEST(CampaignAnalysis, AnalysisArtifactRoundTrip) {
     flow::ExperimentRunner::AnalysisData a;
     a.stuck = {{2, netlist::kNoNet, -1, false},
@@ -664,45 +800,6 @@ TEST(CampaignDefectStats, SpecAxisParsesCanonicalizesAndEnumeratesInnermost) {
         parse_campaign_spec("[grid]\ncircuits = c17\nrules = uniform\n"
                             "defect_stats =\n"),
         std::runtime_error);
-}
-
-TEST(CampaignDefectStats, CellArtifactV4RoundTrip) {
-    // Clustered cells serialize as version 4 and round-trip the backend
-    // descriptor plus the joint clustered fit; classic cells keep the
-    // version-1 bytes, and parsing v1 derives stat_yield = yield.
-    CellResult c;
-    c.circuit = "c17";
-    c.rules = "uniform";
-    c.atpg = "default";
-    c.yield = 0.8;
-    c.t_curve = flow::CoverageCurve({0.5, 1.0});
-    const std::string classic = serialize_cell(c);
-    EXPECT_EQ(classic.substr(0, 13), "dlproj-cell 1");
-    EXPECT_EQ(parse_cell(classic).stat_yield, 0.8);
-
-    c.defect_stats = "negbin:2";
-    c.stat_yield = 0.8375;
-    c.fit_c_r = 0.25;
-    c.fit_c_theta_max = 1.5;
-    c.fit_c_alpha = 2.125;
-    c.fit_c_rms = 0.0625;
-    c.analysis = true;  // v4 carries analysis and clustering together
-    c.untestable_faults = 3;
-    c.fit_raw_r = 0.5;
-    c.fit_raw_theta_max = 1.25;
-    c.t_curve_raw = flow::CoverageCurve({0.375, 0.75});
-    const std::string text = serialize_cell(c);
-    EXPECT_EQ(text.substr(0, 13), "dlproj-cell 4");
-    const CellResult back = parse_cell(text);
-    EXPECT_EQ(back.defect_stats, "negbin:2");
-    EXPECT_EQ(back.stat_yield, 0.8375);
-    EXPECT_EQ(back.fit_c_r, 0.25);
-    EXPECT_EQ(back.fit_c_theta_max, 1.5);
-    EXPECT_EQ(back.fit_c_alpha, 2.125);
-    EXPECT_EQ(back.fit_c_rms, 0.0625);
-    EXPECT_TRUE(back.analysis);
-    EXPECT_EQ(back.untestable_faults, 3u);
-    EXPECT_EQ(back.t_curve_raw.final(), 0.75);
 }
 
 TEST(CampaignDefectStats, AxisGridSharesClassicCacheByteIdentically) {

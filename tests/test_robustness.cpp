@@ -2,9 +2,10 @@
 //
 // Three attack surfaces, all deterministic in their seeds:
 //   * corpus mutation against the text parsers: a seeded mutator corrupts
-//     known-good .bench / .rules texts; the parsers must either succeed or
-//     throw a line-numbered diagnostic — never crash (the CI runs this
-//     suite under ASan+UBSan).
+//     known-good .bench / .rules texts and every campaign cache artifact
+//     kind; the parsers must either succeed or throw a diagnostic
+//     (line-numbered for .bench / .rules, std::runtime_error for
+//     artifacts) — never crash (the CI runs this suite under ASan+UBSan).
 //   * injected worker failures against the shared thread pool: a body
 //     exception at a seeded random chunk must propagate exactly once and
 //     leave the pool fully reusable.
@@ -18,6 +19,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -25,6 +27,9 @@
 #include <vector>
 
 #include "atpg/generate.h"
+#include "campaign/artifacts.h"
+#include "campaign/runner.h"
+#include "campaign/spec.h"
 #include "extract/rules_parser.h"
 #include "flow/experiment.h"
 #include "flow/report.h"
@@ -132,6 +137,105 @@ TEST(ParserFuzz, RulesMutationsParseOrDiagnoseWithLineNumbers) {
     }
     EXPECT_EQ(parsed + rejected, 300);
     EXPECT_GT(rejected, 0) << "the mutator never produced invalid rules";
+}
+
+/// One serialized document per campaign artifact kind, all from a real
+/// analysis-on, n-detect, clustered c17 cell, with the kind's parser.
+struct ArtifactKind {
+    const char* name;
+    const char* count_key;  ///< a counted list field of the kind
+    std::string text;
+    std::function<void(const std::string&)> parse;
+};
+
+std::vector<ArtifactKind> artifact_corpus() {
+    flow::ExperimentOptions opt;
+    opt.analysis = true;
+    opt.atpg.ndetect = 2;
+    flow::ExperimentRunner runner(netlist::build_c17(), opt);
+    const auto& a = runner.analyze();
+    const auto& t = runner.generate_tests();
+    const auto& d = runner.simulate();
+    const campaign::CampaignSpec spec = campaign::parse_campaign_spec(
+        "[grid]\ncircuits = c17\nrules = bridging\nndetect = 2\n"
+        "analysis = on\ndefect_stats = negbin:2\n");
+    const campaign::CellResult cell =
+        campaign::run_campaign(spec, {}).cells.at(0);
+    return {
+        {"faults", "count", campaign::serialize_faults(t.stuck),
+         [](const std::string& s) { campaign::parse_faults(s); }},
+        {"tests", "stuck", campaign::serialize_tests(t),
+         [](const std::string& s) { campaign::parse_tests(s); }},
+        {"sim", "theta_curve", campaign::serialize_simulation(d),
+         [](const std::string& s) { campaign::parse_simulation(s); }},
+        {"cell", "t_curve", campaign::serialize_cell(cell),
+         [](const std::string& s) { campaign::parse_cell(s); }},
+        {"analysis", "stuck", campaign::serialize_analysis(a),
+         [](const std::string& s) { campaign::parse_analysis(s); }},
+    };
+}
+
+/// Parses `text`; true when accepted, false when rejected with the
+/// std::runtime_error the artifact contract promises.  Any other
+/// exception type escapes and fails the calling test.
+bool artifact_parses(const ArtifactKind& kind, const std::string& text) {
+    try {
+        kind.parse(text);
+        return true;
+    } catch (const std::runtime_error&) {
+        return false;
+    }
+}
+
+TEST(ParserFuzz, ArtifactTruncationsParseOrThrowRuntimeError) {
+    for (const ArtifactKind& kind : artifact_corpus()) {
+        SCOPED_TRACE(kind.name);
+        ASSERT_TRUE(artifact_parses(kind, kind.text));
+        int rejected = 0;
+        for (std::size_t nl = kind.text.find('\n'); nl != std::string::npos;
+             nl = kind.text.find('\n', nl + 1)) {
+            // Cut just before and just after each line boundary.
+            if (!artifact_parses(kind, kind.text.substr(0, nl))) ++rejected;
+            if (nl + 1 < kind.text.size() &&
+                !artifact_parses(kind, kind.text.substr(0, nl + 1)))
+                ++rejected;
+        }
+        EXPECT_GT(rejected, 0);
+    }
+}
+
+TEST(ParserFuzz, ArtifactMutationsParseOrThrowRuntimeError) {
+    for (const ArtifactKind& kind : artifact_corpus()) {
+        SCOPED_TRACE(kind.name);
+        int rejected = 0;
+        for (std::uint32_t seed = 2000; seed < 2300; ++seed)
+            if (!artifact_parses(kind, mutate(kind.text, seed))) ++rejected;
+        EXPECT_GT(rejected, 0)
+            << "the mutator never produced an invalid artifact";
+    }
+}
+
+TEST(ParserFuzz, ArtifactCountsAreCheckedBeforeAllocating) {
+    // A negative or absurd count is a parse error, not a length_error or
+    // a bad_alloc.
+    EXPECT_THROW(campaign::parse_faults("dlproj-faults 1\ncount -1\n"),
+                 std::runtime_error);
+    EXPECT_THROW(
+        campaign::parse_faults("dlproj-faults 1\ncount 1000000000000\n"),
+        std::runtime_error);
+    for (const ArtifactKind& kind : artifact_corpus()) {
+        SCOPED_TRACE(kind.name);
+        const std::string key = "\n" + std::string(kind.count_key) + " ";
+        const std::size_t at = kind.text.find(key);
+        ASSERT_NE(at, std::string::npos);
+        const std::size_t space = at + key.size() - 1;
+        const std::size_t end = kind.text.find_first_of(" \n", space + 1);
+        for (const char* count : {"-1", "1000000000000"}) {
+            const std::string text = kind.text.substr(0, space + 1) + count +
+                                     kind.text.substr(end);
+            EXPECT_FALSE(artifact_parses(kind, text)) << count;
+        }
+    }
 }
 
 TEST(ParserDiagnostics, BenchStructuralErrorsCarryTheOffendingLine) {

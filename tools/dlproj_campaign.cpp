@@ -49,8 +49,8 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
-#include <sstream>
 #include <string>
+#include <tuple>
 
 #include "support/cancel.h"
 
@@ -59,7 +59,6 @@
 #include "campaign/spec.h"
 #include "campaign/store.h"
 #include "flow/report.h"
-#include "model/defect_stats_model.h"
 
 namespace {
 
@@ -179,65 +178,18 @@ int main(int argc, char** argv) {
         return 2;
     }
     if (max_vectors >= 0) spec.max_vectors = max_vectors;
-    if (!ndetect_list.empty()) {
-        spec.ndetect.clear();
-        std::istringstream in(ndetect_list);
-        std::string item;
+    // The axis flags reuse the spec's [grid] list parser, so a flag
+    // accepts and rejects exactly what the spec line would.
+    for (const auto& [flag, key, items] :
+         {std::tuple{"--ndetect", "ndetect", &ndetect_list},
+          std::tuple{"--analysis", "analysis", &analysis_list},
+          std::tuple{"--defect-stats", "defect_stats", &defect_stats_list}}) {
+        if (items->empty()) continue;
         try {
-            while (std::getline(in, item, ',')) {
-                if (item.empty()) continue;
-                const int n = std::stoi(item);
-                if (n < 1 || n > 64)
-                    throw std::runtime_error("target out of range [1, 64]");
-                spec.ndetect.push_back(n);
-            }
-            if (spec.ndetect.empty())
-                throw std::runtime_error("empty target list");
+            campaign::set_grid_axis(spec, key, *items);
         } catch (const std::exception& e) {
-            std::cerr << argv[0] << ": bad --ndetect list '" << ndetect_list
+            std::cerr << argv[0] << ": bad " << flag << " list '" << *items
                       << "': " << e.what() << "\n";
-            return 2;
-        }
-    }
-    if (!analysis_list.empty()) {
-        spec.analysis.clear();
-        std::istringstream in(analysis_list);
-        std::string item;
-        try {
-            while (std::getline(in, item, ',')) {
-                if (item.empty()) continue;
-                if (item == "on" || item == "true" || item == "1")
-                    spec.analysis.push_back(1);
-                else if (item == "off" || item == "false" || item == "0")
-                    spec.analysis.push_back(0);
-                else
-                    throw std::runtime_error("expected on/off, got '" + item +
-                                             "'");
-            }
-            if (spec.analysis.empty())
-                throw std::runtime_error("empty setting list");
-        } catch (const std::exception& e) {
-            std::cerr << argv[0] << ": bad --analysis list '" << analysis_list
-                      << "': " << e.what() << "\n";
-            return 2;
-        }
-    }
-
-    if (!defect_stats_list.empty()) {
-        spec.defect_stats.clear();
-        std::istringstream in(defect_stats_list);
-        std::string item;
-        try {
-            while (std::getline(in, item, ',')) {
-                if (item.empty()) continue;
-                spec.defect_stats.push_back(
-                    model::parse_defect_stats(item).describe());
-            }
-            if (spec.defect_stats.empty())
-                throw std::runtime_error("empty backend list");
-        } catch (const std::exception& e) {
-            std::cerr << argv[0] << ": bad --defect-stats list '"
-                      << defect_stats_list << "': " << e.what() << "\n";
             return 2;
         }
     }
