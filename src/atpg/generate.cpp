@@ -117,6 +117,7 @@ TestGenResult generate_test_set(const Circuit& circuit,
         DLP_OBS_COUNTER(c_targets, "atpg.targets");
         DLP_OBS_COUNTER(c_backtracks, "atpg.backtracks");
         DLP_OBS_COUNTER(c_implications, "atpg.implications");
+        DLP_OBS_COUNTER(c_gate_evals, "atpg.gate_evals");
         DLP_OBS_COUNTER(c_aborts, "atpg.aborts");
         DLP_OBS_COUNTER(c_redundant, "atpg.redundant");
         Podem podem(circuit, compute_testability(circuit));
@@ -134,6 +135,7 @@ TestGenResult generate_test_set(const Circuit& circuit,
             DLP_OBS_ADD(c_targets, 1);
             DLP_OBS_ADD(c_backtracks, res.backtracks);
             DLP_OBS_ADD(c_implications, res.implications);
+            DLP_OBS_ADD(c_gate_evals, res.gate_evals);
             if (res.status == PodemResult::Status::Aborted &&
                 res.stop == support::StopReason::None)
                 DLP_OBS_ADD(c_aborts, 1);

@@ -17,7 +17,12 @@ cell::NetRef resolve_local_net(const ChipLayout& chip, std::int32_t instance,
 }
 
 std::vector<FlatShape> flatten(const ChipLayout& chip) {
+    // Sized upfront: growing by doubling leaves a trail of freed buffers
+    // that the heap keeps resident across runs.
+    std::size_t count = chip.routing.size();
+    for (const PlacedCell& pc : chip.cells) count += pc.cell->shapes.size();
     std::vector<FlatShape> out;
+    out.reserve(count);
     for (size_t inst = 0; inst < chip.cells.size(); ++inst) {
         const PlacedCell& pc = chip.cells[inst];
         for (const cell::LocalShape& s : pc.cell->shapes) {

@@ -98,11 +98,14 @@ NetId Circuit::add_gate(GateType type, std::string name,
 void Circuit::mark_output(NetId net) {
     if (net >= gates_.size())
         throw std::invalid_argument("output net does not exist");
-    if (!is_output(net)) outputs_.push_back(net);
+    if (net >= is_output_.size()) is_output_.resize(gates_.size(), 0);
+    if (is_output_[net]) return;
+    is_output_[net] = 1;
+    outputs_.push_back(net);
 }
 
 bool Circuit::is_output(NetId net) const {
-    return std::find(outputs_.begin(), outputs_.end(), net) != outputs_.end();
+    return net < is_output_.size() && is_output_[net] != 0;
 }
 
 NetId Circuit::find(const std::string& name) const {

@@ -93,6 +93,9 @@ private:
     std::vector<Gate> gates_;
     std::vector<NetId> inputs_;
     std::vector<NetId> outputs_;
+    /// Per net: 1 iff a PO.  Sized by mark_output, so nets added after the
+    /// last mark are past its end (and not outputs).
+    std::vector<std::uint8_t> is_output_;
 };
 
 }  // namespace dlp::netlist

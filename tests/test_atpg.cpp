@@ -1,6 +1,8 @@
 // Tests for SCOAP testability, PODEM and the test-set generator.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "atpg/generate.h"
 #include "atpg/compaction.h"
 #include "atpg/transition_tpg.h"
@@ -8,6 +10,7 @@
 #include "gatesim/patterns.h"
 #include "netlist/builders.h"
 #include "netlist/techmap.h"
+#include "podem_reference.h"
 
 namespace dlp::atpg {
 namespace {
@@ -128,6 +131,85 @@ INSTANTIATE_TEST_SUITE_P(
                           return netlist::techmap(
                               netlist::build_random_circuit(10, 60, 21));
                       }));
+
+// ---- differential oracle: event-driven PODEM vs full re-simulation --------
+
+/// Runs both PODEMs on `faults` and requires identical results.  The
+/// production search may only do less gate work than re-simulating every
+/// gate on every implication.  Returns how many searches ended in each
+/// status, indexed by PodemResult::Status.
+std::array<int, 3> expect_same_as_reference(
+    const Circuit& c, const std::vector<StuckAtFault>& faults,
+    int backtrack_limit, const support::RunBudget* budget = nullptr) {
+    static constexpr std::uint64_t kFills[] = {
+        0, ~0ULL, 0x5555555555555555ULL, 0x9e3779b97f4a7c15ULL};
+    const Testability t = compute_testability(c);
+    Podem podem(c, t);
+    reference::ReferencePodem ref(c, t);
+    std::array<int, 3> outcomes{};
+    for (size_t i = 0; i < faults.size(); ++i) {
+        const StuckAtFault& f = faults[i];
+        const std::uint64_t fill = kFills[i % std::size(kFills)];
+        const PodemResult got =
+            podem.generate(f, backtrack_limit, fill, budget);
+        const PodemResult want =
+            ref.generate(f, backtrack_limit, fill, budget);
+        const std::string what = c.name() + " " + gatesim::fault_name(c, f);
+        EXPECT_EQ(got.status, want.status) << what;
+        EXPECT_EQ(got.test, want.test) << what;
+        EXPECT_EQ(got.backtracks, want.backtracks) << what;
+        EXPECT_EQ(got.implications, want.implications) << what;
+        EXPECT_EQ(got.stop, want.stop) << what;
+        EXPECT_GT(got.gate_evals, 0) << what;
+        EXPECT_LE(got.gate_evals, want.gate_evals) << what;
+        ++outcomes[static_cast<size_t>(got.status)];
+    }
+    return outcomes;
+}
+
+std::vector<StuckAtFault> collapsed(const Circuit& c) {
+    return collapse_faults(c, full_fault_universe(c));
+}
+
+TEST(PodemDifferential, EveryCollapsedFaultOfSmallCircuits) {
+    std::array<int, 3> total{};
+    for (const Circuit& c :
+         {build_c17(), build_c432(), build_ripple_adder(4),
+          netlist::techmap(netlist::build_random_circuit(10, 60, 21))}) {
+        const auto outcomes = expect_same_as_reference(c, collapsed(c), 1024);
+        for (size_t s = 0; s < total.size(); ++s) total[s] += outcomes[s];
+    }
+    // c432 aborts at this limit; the random circuit has redundant faults.
+    for (int n : total) EXPECT_GT(n, 0);
+}
+
+TEST(PodemDifferential, StemAndBranchFaultsOnRandom500) {
+    // Every collapsed fault would take minutes in the reference; a strided
+    // sample at a low backtrack limit still reaches aborts and redundancy.
+    const Circuit c = netlist::build_random_circuit(32, 500, 7);
+    const auto all = collapsed(c);
+    std::vector<StuckAtFault> sample;
+    for (size_t i = 0; i < all.size(); i += 17) sample.push_back(all[i]);
+    int stems = 0;
+    int branches = 0;
+    for (const auto& f : sample) (f.is_stem() ? stems : branches) += 1;
+    ASSERT_GT(stems, 0);
+    ASSERT_GT(branches, 0);
+    for (int n : expect_same_as_reference(c, sample, 256)) EXPECT_GT(n, 0);
+}
+
+TEST(PodemDifferential, BudgetCancelledSearch) {
+    // A cancelled budget stops both searches at their first backtrack (so
+    // before the limit), with the same partial effort and stop reason.
+    const Circuit c = netlist::build_random_circuit(32, 500, 7);
+    support::RunBudget budget;
+    budget.cancel.request();
+    const auto all = collapsed(c);
+    const std::vector<StuckAtFault> sample(all.begin(), all.begin() + 40);
+    const auto outcomes = expect_same_as_reference(c, sample, 256, &budget);
+    EXPECT_GT(outcomes[static_cast<size_t>(PodemResult::Status::Aborted)], 0)
+        << "no sampled search reached a backtrack";
+}
 
 TEST(Generate, ReachesFullCoverageOnC432) {
     const Circuit c = netlist::techmap(build_c432());
