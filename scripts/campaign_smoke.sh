@@ -9,7 +9,11 @@
 #      JSON/CSV reports are byte-identical to the cold run's;
 #   3. merging the CSVs of a --shard=0/2 + --shard=1/2 fan-out (numeric
 #      sort on the leading index column) reproduces the unsharded CSV
-#      byte for byte.
+#      byte for byte;
+#   4. the report bytes and every cache key match the pins in
+#      data/golden/<spec file name>.{sha256,keys}: the SHA-256 of an
+#      uncached `--json=- --csv=-` run, and the sorted object file names
+#      (fnv1a64(key text)-kind) of the cold cached run.
 #
 # Usage: scripts/campaign_smoke.sh [path/to/dlproj_campaign [spec]]
 set -eu
@@ -63,5 +67,19 @@ cmp -s "$work/cold.csv" "$work/merged.csv" || {
     diff "$work/cold.csv" "$work/merged.csv" >&2 || true
     exit 1; }
 
+# --- 4. pinned report digest and cache keys ----------------------------
+golden=data/golden/$(basename "$SPEC")
+digest=$("$BIN" --quiet --no-cache --json=- --csv=- "$SPEC" | sha256sum |
+         cut -d' ' -f1)
+[ "$digest" = "$(cat "$golden.sha256")" ] || {
+    echo "campaign smoke: report digest $digest differs from" \
+         "$golden.sha256" >&2; exit 1; }
+find "$cache/objects" -type f -printf '%f\n' | LC_ALL=C sort \
+    > "$work/keys"
+cmp -s "$golden.keys" "$work/keys" || {
+    echo "campaign smoke: cache keys differ from $golden.keys" >&2
+    diff "$golden.keys" "$work/keys" >&2 || true
+    exit 1; }
+
 echo "campaign smoke OK ($cells cells; warm run 100% cached;" \
-     "2-way shard merge byte-identical)"
+     "2-way shard merge byte-identical; report and keys match the pins)"

@@ -9,7 +9,8 @@
 #      variable name at the consuming site) — new knobs must be
 #      documented to land;
 #   3. every CLI flag a tool accepts (the "--flag" literals in its source,
-#      which is also what its usage()/--help prints) appears in
+#      which is also what its usage()/--help prints, plus the axis flags
+#      dlproj_campaign takes from src/campaign/axes.cpp) appears in
 #      docs/CONFIGURATION.md or the tool's own doc page;
 #   4. the reverse of 2: every DLPROJ_* name docs/CONFIGURATION.md lists
 #      still occurs in src/, tools/, scripts/ or a CMakeLists.txt (a
@@ -71,6 +72,13 @@ doc_pages_for() {
         *)               echo "" ;;
     esac
 }
+# dlproj_campaign's grid-axis flags are declared in the axis table.
+flag_sources_for() {
+    case "$1" in
+        dlproj_campaign) echo "tools/$1.cpp src/campaign/axes.cpp" ;;
+        *)               echo "tools/$1.cpp" ;;
+    esac
+}
 if [ -f "$conf" ]; then
     for tool_src in tools/dlproj_*.cpp; do
         tool=$(basename "$tool_src" .cpp)
@@ -81,8 +89,9 @@ if [ -f "$conf" ]; then
                 echo "UNDOCUMENTED FLAG: $tool $flag (absent from $pages)"
                 fail=1
             fi
-        done < <(grep -ohE '"--[a-z][a-z-]*' "$tool_src" | tr -d '"' |
-                 sort -u)
+        # shellcheck disable=SC2046
+        done < <(grep -ohE '"--[a-z][a-z-]*' $(flag_sources_for "$tool") |
+                 tr -d '"' | sort -u)
     done
 fi
 

@@ -1,10 +1,8 @@
 #include "campaign/report.h"
 
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
-#include "model/defect_stats_model.h"
 #include "model/dl_models.h"
 #include "support/json_quote.h"
 
@@ -37,22 +35,12 @@ double residual_ppm(const CellResult& c) {
     return model::to_ppm(m.residual_dl());
 }
 
-double dl_ppm(const CellResult& c) {
-    // Achieved defect level from the measured weighted realistic
-    // coverage, eq (3): DL = 1 - Y^(1-theta).  Reported per n-detect
-    // cell so DL can be read directly against the target n.
-    return model::to_ppm(model::weighted_dl(c.yield, c.theta_curve.final()));
-}
-
-double clustered_dl_ppm(const CellResult& c) {
-    // DL under the cell's defect-statistics backend, at the Poisson mean
-    // lambda = -ln(Y) (weight scaling is Poisson-based for every
-    // backend).  Derived from serialized fields only, so a fresh cell and
-    // a cache-hit cell report the same bytes.
-    const model::DefectStatsModel backend =
-        model::parse_defect_stats(c.defect_stats);
-    const double lambda = c.yield > 0.0 ? -std::log(c.yield) : 0.0;
-    return model::to_ppm(backend.dl(lambda, c.theta_curve.final()));
+std::string identity_json(const GridAxis& axis, const CellResult& c) {
+    const std::string item = axis.item_of(c);
+    if (axis.json == GridAxis::Json::String) return support::json_quote(item);
+    if (axis.json == GridAxis::Json::Bool)
+        return item == "on" ? "true" : "false";
+    return item;
 }
 
 }  // namespace
@@ -71,14 +59,9 @@ std::string report_json(const CampaignReport& report) {
         out << "      \"rules\": " << support::json_quote(c.rules) << ",\n";
         out << "      \"seed\": " << c.seed << ",\n";
         out << "      \"atpg\": " << support::json_quote(c.atpg) << ",\n";
-        if (report.ndetect_axis)
-            out << "      \"ndetect\": " << c.ndetect << ",\n";
-        if (report.analysis_axis)
-            out << "      \"analysis\": " << (c.analysis ? "true" : "false")
-                << ",\n";
-        if (report.defect_stats_axis)
-            out << "      \"defect_stats\": "
-                << support::json_quote(c.defect_stats) << ",\n";
+        for (std::size_t a : report.swept)
+            out << "      \"" << grid_axes()[a].key
+                << "\": " << identity_json(grid_axes()[a], c) << ",\n";
         out << "      \"mapped_gates\": " << c.mapped_gates << ",\n";
         out << "      \"stuck_faults\": " << c.stuck_faults << ",\n";
         out << "      \"realistic_faults\": " << c.realistic_faults << ",\n";
@@ -97,32 +80,21 @@ std::string report_json(const CampaignReport& report) {
             << ", \"theta_max\": " << num(c.fit_theta_max)
             << ", \"rms\": " << num(c.fit_rms)
             << ", \"residual_ppm\": " << num(residual_ppm(c)) << "},\n";
-        if (report.ndetect_axis)
-            out << "      \"ndetect_quality\": {\"min_detections\": "
-                << c.ndetect_min << ", \"mean_detections\": "
-                << num(c.ndetect_mean) << ", \"worst_case_coverage\": "
-                << num(c.worst_case_coverage) << ", \"avg_case_coverage\": "
-                << num(c.avg_case_coverage) << ", \"dl_ppm\": "
-                << num(dl_ppm(c)) << "},\n";
-        if (report.analysis_axis)
-            out << "      \"testability\": {\"untestable_faults\": "
-                << c.untestable_faults << ", \"t_raw_final\": "
-                << num(c.t_curve_raw.final()) << ", \"fit_raw_r\": "
-                << num(c.fit_raw_r) << ", \"fit_raw_theta_max\": "
-                << num(c.fit_raw_theta_max) << "},\n";
-        if (report.defect_stats_axis)
-            out << "      \"clustering\": {\"stat_yield\": "
-                << num(c.stat_yield) << ", \"dl_ppm\": "
-                << num(clustered_dl_ppm(c)) << ", \"fit_c_r\": "
-                << num(c.fit_c_r) << ", \"fit_c_theta_max\": "
-                << num(c.fit_c_theta_max) << ", \"fit_c_alpha\": "
-                << num(c.fit_c_alpha) << ", \"fit_c_rms\": "
-                << num(c.fit_c_rms) << "},\n";
+        for (std::size_t a : report.swept) {
+            const GridAxis& axis = grid_axes()[a];
+            out << "      \"" << axis.group << "\": {";
+            for (std::size_t k = 0; k < axis.columns.size(); ++k)
+                out << (k ? ", " : "") << "\"" << axis.columns[k].json
+                    << "\": " << num(axis.columns[k].value(c));
+            out << "},\n";
+        }
         out << "      \"interruption\": "
             << support::json_quote(c.interruption) << ",\n";
         put_curve_json(out, "t_curve", c.t_curve);
-        if (report.analysis_axis)
-            put_curve_json(out, "t_curve_raw", c.t_curve_raw);
+        for (std::size_t a : report.swept)
+            if (grid_axes()[a].curve)
+                put_curve_json(out, grid_axes()[a].curve,
+                               grid_axes()[a].curve_of(c));
         put_curve_json(out, "theta_curve", c.theta_curve);
         put_curve_json(out, "gamma_curve", c.gamma_curve);
         put_curve_json(out, "theta_iddq_curve", c.theta_iddq_curve,
@@ -138,30 +110,21 @@ std::string report_csv(const CampaignReport& report, bool header) {
     std::ostringstream out;
     if (header) {
         out << "index,circuit,rules,seed,atpg,";
-        if (report.ndetect_axis) out << "ndetect,";
-        if (report.analysis_axis) out << "analysis,";
-        if (report.defect_stats_axis) out << "defect_stats,";
+        for (std::size_t a : report.swept) out << grid_axes()[a].key << ",";
         out << "mapped_gates,stuck_faults,"
                "realistic_faults,vectors,yield,t_final,theta_final,"
                "gamma_final,theta_iddq_final,fit_r,fit_theta_max,"
                "residual_ppm,";
-        if (report.ndetect_axis)
-            out << "min_detections,mean_detections,worst_case_coverage,"
-                   "avg_case_coverage,dl_ppm,";
-        if (report.analysis_axis)
-            out << "untestable_faults,t_raw_final,fit_raw_r,"
-                   "fit_raw_theta_max,";
-        if (report.defect_stats_axis)
-            out << "stat_yield,cluster_dl_ppm,fit_c_r,fit_c_theta_max,"
-                   "fit_c_alpha,fit_c_rms,";
+        for (std::size_t a : report.swept)
+            for (const AxisColumn& col : grid_axes()[a].columns)
+                out << col.csv << ",";
         out << "interruption\n";
     }
     for (const CellResult& c : report.cells) {
         out << c.index << "," << c.circuit << "," << c.rules << "," << c.seed
             << "," << c.atpg << ",";
-        if (report.ndetect_axis) out << c.ndetect << ",";
-        if (report.analysis_axis) out << (c.analysis ? "on" : "off") << ",";
-        if (report.defect_stats_axis) out << c.defect_stats << ",";
+        for (std::size_t a : report.swept)
+            out << grid_axes()[a].item_of(c) << ",";
         out << c.mapped_gates << ","
             << c.stuck_faults << "," << c.realistic_faults << ","
             << c.vector_count << "," << num(c.yield) << ","
@@ -169,19 +132,9 @@ std::string report_csv(const CampaignReport& report, bool header) {
             << "," << num(c.gamma_curve.final()) << ","
             << num(c.theta_iddq_curve.final()) << "," << num(c.fit_r) << ","
             << num(c.fit_theta_max) << "," << num(residual_ppm(c)) << ",";
-        if (report.ndetect_axis)
-            out << c.ndetect_min << "," << num(c.ndetect_mean) << ","
-                << num(c.worst_case_coverage) << ","
-                << num(c.avg_case_coverage) << "," << num(dl_ppm(c)) << ",";
-        if (report.analysis_axis)
-            out << c.untestable_faults << "," << num(c.t_curve_raw.final())
-                << "," << num(c.fit_raw_r) << ","
-                << num(c.fit_raw_theta_max) << ",";
-        if (report.defect_stats_axis)
-            out << num(c.stat_yield) << "," << num(clustered_dl_ppm(c))
-                << "," << num(c.fit_c_r) << "," << num(c.fit_c_theta_max)
-                << "," << num(c.fit_c_alpha) << "," << num(c.fit_c_rms)
-                << ",";
+        for (std::size_t a : report.swept)
+            for (const AxisColumn& col : grid_axes()[a].columns)
+                out << num(col.value(c)) << ",";
         out << c.interruption << "\n";
     }
     return out.str();

@@ -17,14 +17,16 @@ namespace dlp::campaign {
 
 /// Deterministic JSON report: campaign name + one object per completed
 /// cell (identity, workload facts, final coverages, eq (11) fit with the
-/// residual-DL floor in ppm, and the four full coverage curves).
+/// residual-DL floor in ppm, each swept axis's column group, and the full
+/// coverage curves).
 std::string report_json(const CampaignReport& report);
 
 /// Deterministic CSV, one row per cell:
 /// index,circuit,rules,seed,atpg,mapped_gates,stuck_faults,
 /// realistic_faults,vectors,yield,t_final,theta_final,gamma_final,
 /// theta_iddq_final,fit_r,fit_theta_max,residual_ppm,interruption
-/// Rows are in grid order, so sharded runs merge with a sort on column 1.
+/// plus each swept axis's identity and quality columns (spec.h).  Rows
+/// are in grid order, so sharded runs merge with a sort on column 1.
 std::string report_csv(const CampaignReport& report,
                        bool header = true);
 

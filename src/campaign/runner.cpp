@@ -4,23 +4,14 @@
 #include <stdexcept>
 #include <utility>
 
-#include "analysis/untestable.h"
 #include "extract/rules_parser.h"
 #include "lint/checks.h"
-#include "model/defect_stats_model.h"
 #include "netlist/bench_parser.h"
 #include "obs/telemetry.h"
 
 namespace dlp::campaign {
 
 namespace {
-
-/// A stop that must abort the campaign (vs. a vector budget, which is a
-/// deterministic part of the cell's configuration and commits normally).
-bool is_campaign_stop(support::StopReason reason) {
-    return reason == support::StopReason::Cancelled ||
-           reason == support::StopReason::DeadlineExpired;
-}
 
 /// Canonical key texts.  Each embeds a format version so incompatible
 /// pipeline changes can invalidate old caches by bumping it; doubles are
@@ -33,66 +24,38 @@ struct CellKeys {
     std::string cell;      ///< fitted-cell result (same inputs as sim)
 };
 
-CellKeys make_keys(const CampaignSpec& spec, const Cell& cell,
-                   const std::string& bench_hash,
+CellKeys make_keys(const CampaignSpec& spec, const std::string& bench_hash,
                    const std::string& rules_hash,
-                   const atpg::TestGenOptions& atpg, bool analysis,
-                   const std::string& defect_stats) {
+                   const flow::ExperimentOptions& opt) {
+    // The optional axes add lines only when they change an artifact, so a
+    // classic cell keeps the classic keys.
+    std::string tests_axes, cell_axes;
+    for (const GridAxis& a : grid_axes())
+        (a.stage == GridAxis::Stage::Tests ? tests_axes : cell_axes) +=
+            a.key_lines(opt);
+    const atpg::TestGenOptions& atpg = opt.atpg;
+    const std::string bench = "bench " + bench_hash + "\n";
     CellKeys k;
-    {
-        std::ostringstream o;
-        o << "dlproj-key faults 1\n" << "bench " << bench_hash << "\n";
-        k.faults = o.str();
-    }
-    {
-        // Keyed by the circuit alone: the marks are a property of its
-        // structure, so every analysis cell of a circuit shares one
-        // artifact across rules/seeds/ATPG variants.
-        std::ostringstream o;
-        o << "dlproj-key analysis 1\n" << "bench " << bench_hash << "\n";
-        k.analysis = o.str();
-    }
-    {
-        std::ostringstream o;
-        o << "dlproj-key tests 1\n"
-          << "bench " << bench_hash << "\n"
-          << "seed " << cell.seed << "\n"
+    k.faults = "dlproj-key faults 1\n" + bench;
+    // Keyed by the circuit alone: the marks are a property of its
+    // structure, so every analysis cell of a circuit shares one artifact
+    // across rules/seeds/ATPG variants.
+    k.analysis = "dlproj-key analysis 1\n" + bench;
+    std::ostringstream tests;
+    tests << "dlproj-key tests 1\n"
+          << bench << "seed " << atpg.seed << "\n"
           << "random_block " << atpg.random_block << "\n"
           << "max_random " << atpg.max_random << "\n"
           << "stale_blocks " << atpg.stale_blocks << "\n"
           << "backtrack_limit " << atpg.backtrack_limit << "\n"
-          << "max_vectors " << spec.max_vectors << "\n";
-        // The n-detection target (and the top-up mix, which only matters
-        // beyond the first detection) enter the key only when they can
-        // change the test set, so the n=1 cells of an ndetect-axis grid
-        // share the classic cells' artifacts.
-        if (atpg.ndetect > 1)
-            o << "ndetect " << atpg.ndetect << "\n"
-              << "ndetect_mix " << atpg::ndetect_mix_name(atpg.ndetect_mix)
-              << "\n";
-        // Likewise for the untestability analysis: marks change the test
-        // set (proven faults settle Redundant), so only analysis cells key
-        // on it and analysis-off cells share the classic artifacts.
-        if (analysis) o << "analysis on\n";
-        k.tests = o.str();
-    }
-    {
-        std::ostringstream o;
-        o << "dlproj-key sim 1\n"
-          << "tests " << hex64(fnv1a64(k.tests)) << "\n"
-          << "rules " << rules_hash << "\n"
-          << "target_yield " << double_hex(spec.target_yield) << "\n"
-          << "weighted " << (spec.weighted ? 1 : 0) << "\n";
-        k.sim = o.str();
-    }
-    // The backend enters only the CELL key: it changes nothing upstream of
-    // the fit stage, so faults/tests/sim artifacts are shared across the
-    // whole defect_stats axis, and the poisson spelling adds no key
-    // material at all — poisson cells keep hitting classic caches.  (A
-    // deck's own cluster_* directives are already covered by rules_hash.)
-    k.cell = "dlproj-key cell 1\n" + k.sim;
-    if (defect_stats != "poisson")
-        k.cell += "defect_stats " + defect_stats + "\n";
+          << "max_vectors " << spec.max_vectors << "\n"
+          << tests_axes;
+    k.tests = tests.str();
+    k.sim = "dlproj-key sim 1\ntests " + hex64(fnv1a64(k.tests)) +
+            "\nrules " + rules_hash + "\ntarget_yield " +
+            double_hex(spec.target_yield) + "\nweighted " +
+            (spec.weighted ? "1" : "0") + "\n";
+    k.cell = "dlproj-key cell 1\n" + k.sim + cell_axes;
     return k;
 }
 
@@ -151,63 +114,23 @@ CellResult make_cell_result(const Cell& cell, bool analysis,
     return c;
 }
 
-}  // namespace
-
-CampaignRunner::CampaignRunner(CampaignSpec spec, CampaignOptions options)
-    : spec_(std::move(spec)), options_(std::move(options)) {}
-
-void CampaignRunner::report_progress(std::string_view stage, std::size_t done,
-                                     std::size_t total) {
-    if (options_.progress) options_.progress(stage, done, total);
-}
-
-CampaignReport CampaignRunner::run() {
-    DLP_OBS_SPAN(span, "campaign.run");
-    CampaignReport rep;
-    rep.name = spec_.name;
-    rep.ndetect_axis = spec_.has_ndetect_axis();
-    rep.analysis_axis = spec_.has_analysis_axis();
-    rep.defect_stats_axis = spec_.has_defect_stats_axis();
-    rep.stats.cells_total = spec_.cell_count();
-    const std::vector<std::size_t> cells =
-        shard_cells(rep.stats.cells_total, options_.shard);
-    rep.stats.cells_selected = cells.size();
-    ArtifactStore store(options_.use_cache ? options_.cache_dir
-                                           : std::string());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        report_progress("cell", i, cells.size());
-        if (const auto stop = options_.budget.check();
-            stop != support::StopReason::None) {
-            rep.stats.stop = stop;
-            break;
-        }
-        if (!run_cell(cells[i], rep, store)) break;
-        ++rep.stats.cells_completed;
-        report_progress("campaign", i + 1, cells.size());
-    }
-    rep.stats.store_corrupt = store.corrupt();
-    if (rep.stats.stop != support::StopReason::None)
-        DLP_OBS_SPAN_NOTE(
-            span, "campaign stopped: " + std::string(support::stop_reason_name(
-                                             rep.stats.stop)));
-    return rep;
-}
-
-bool CampaignRunner::run_cell(std::size_t index, CampaignReport& rep,
-                              ArtifactStore& store) {
+/// Runs (or serves from the cache) grid cell `index` into `rep`; false
+/// when a campaign-level budget stop interrupted it (the stop reason is
+/// recorded in `rep.stats.stop`; nothing committed).
+bool run_cell(const CampaignSpec& spec, const CampaignOptions& options,
+              std::size_t index, CampaignReport& rep, ArtifactStore& store) {
     DLP_OBS_SPAN(span, "campaign.cell");
     DLP_OBS_COUNTER(c_hit, "campaign.cell.cache_hit");
     DLP_OBS_COUNTER(c_miss, "campaign.cell.cache_miss");
-    const Cell cell = cell_at(spec_, index);
+    const Cell cell = cell_at(spec, index);
     const auto cell_id = [&] {
         std::string id = "cell #" + std::to_string(index) + " (" +
                          cell.circuit + ", " + cell.rules + ", seed " +
                          std::to_string(cell.seed) + ", atpg " + cell.atpg;
-        if (cell.ndetect != 1)
-            id += ", ndetect " + std::to_string(cell.ndetect);
-        if (cell.analysis) id += ", analysis on";
-        if (cell.defect_stats != "poisson")
-            id += ", defect_stats " + cell.defect_stats;
+        for (std::size_t a = 0; a < cell.axes.size(); ++a)
+            if (cell.axes[a] != grid_axes()[a].classic)
+                id += ", " + std::string(grid_axes()[a].key) + " " +
+                      cell.axes[a];
         return id + ")";
     };
 
@@ -215,119 +138,102 @@ bool CampaignRunner::run_cell(std::size_t index, CampaignReport& rep,
     // content, so two names for the same circuit (a builder and a .bench
     // dump of it) address the same artifacts.
     netlist::Circuit circuit("unresolved");
-    extract::DefectStatistics defects;
+    flow::ExperimentOptions opt;
     try {
         circuit = resolve_circuit(cell.circuit);
-        defects = resolve_rules(cell.rules);
+        opt.defects = resolve_rules(cell.rules);
+        opt.atpg = atpg_variant(spec, cell.atpg).options;
+        opt.atpg.seed = cell.seed;
+        for (std::size_t a = 0; a < cell.axes.size(); ++a)
+            grid_axes()[a].apply(cell.axes[a], opt);
     } catch (const std::exception& e) {
         throw std::runtime_error("campaign " + cell_id() + ": " + e.what());
     }
-    const AtpgVariant& variant = atpg_variant(spec_, cell.atpg);
-    atpg::TestGenOptions atpg_opts = variant.options;
-    atpg_opts.seed = cell.seed;
-    atpg_opts.ndetect = cell.ndetect;
-    // The DLPROJ_ANALYSIS kill switch applies BEFORE keying: with the
-    // stage disabled the cell computes — and must cache — as a classic
-    // cell, not poison the analysis-keyed artifacts with unanalyzed data.
-    const bool analysis_on =
-        cell.analysis && analysis::analysis_enabled_from_env();
-    model::DefectStatsModel backend;
-    try {
-        backend = model::parse_defect_stats(cell.defect_stats);
-    } catch (const std::exception& e) {
-        throw std::runtime_error("campaign " + cell_id() + ": " + e.what());
-    }
+    opt.target_yield = spec.target_yield;
+    opt.weighted = spec.weighted;
+    opt.parallel = options.parallel;
+    opt.budget = options.budget;
+    opt.budget.max_vectors = spec.max_vectors;
+    opt.lint_enabled = spec.lint;
+    const bool analysis_on = opt.analysis;
     const std::string bench_hash = hex64(fnv1a64(netlist::to_bench(circuit)));
-    const std::string rules_hash = hex64(fnv1a64(extract::to_rules(defects)));
-    const CellKeys keys =
-        make_keys(spec_, cell, bench_hash, rules_hash, atpg_opts, analysis_on,
-                  backend.describe());
+    const std::string rules_hash =
+        hex64(fnv1a64(extract::to_rules(opt.defects)));
+    const CellKeys keys = make_keys(spec, bench_hash, rules_hash, opt);
+
+    // Looks up the cached `kind` artifact and hands it to `use`.  A parse
+    // failure (format drift) counts as a miss, and a disabled store counts
+    // nothing: "no cache configured" stays distinct from "cold cache".
+    CampaignStats& st = rep.stats;
+    const auto cached = [&](const char* kind, const std::string& key,
+                            std::size_t& hits, std::size_t& misses,
+                            const auto& use) {
+        if (auto hit = store.get(kind, key)) {
+            try {
+                use(*hit);
+                ++hits;
+                return true;
+            } catch (const std::exception&) {
+            }
+        }
+        if (store.enabled()) ++misses;
+        return false;
+    };
 
     // Whole-cell hit: skip everything.
-    if (auto hit = store.get("cell", keys.cell)) {
-        try {
-            CellResult r = parse_cell(*hit);
+    const bool cell_hit = cached(
+        "cell", keys.cell, st.cell_hits, st.cell_misses,
+        [&](const std::string& text) {
+            CellResult r = parse_cell(text);
             r.index = index;
             rep.cells.push_back(std::move(r));
-            ++rep.stats.cell_hits;
-            DLP_OBS_ADD(c_hit, 1);
-            return true;
-        } catch (const std::exception&) {
-            // Format drift: fall through and recompute.
-        }
+        });
+    if (cell_hit) {
+        DLP_OBS_ADD(c_hit, 1);
+        return true;
     }
-    // A disabled store never hits and should not report misses either:
-    // "no cache configured" must stay distinguishable from "cold cache".
-    if (store.enabled()) {
-        ++rep.stats.cell_misses;
-        DLP_OBS_ADD(c_miss, 1);
-    }
+    if (store.enabled()) DLP_OBS_ADD(c_miss, 1);
 
-    flow::ExperimentOptions opt;
-    opt.target_yield = spec_.target_yield;
-    opt.weighted = spec_.weighted;
-    opt.defects = defects;
-    opt.atpg = atpg_opts;
-    opt.parallel = options_.parallel;
-    opt.budget = options_.budget;
-    opt.budget.max_vectors = spec_.max_vectors;
-    opt.lint_enabled = spec_.lint;
-    opt.analysis = analysis_on;
-    opt.defect_stats = backend;
     flow::ExperimentRunner runner(std::move(circuit), std::move(opt));
-    runner.set_progress(options_.progress);
+    runner.set_progress(options.progress);
 
     // Seed the runner with any cached stage artifacts.  The analysis
     // artifact goes in first: inject_analysis drops downstream artifacts,
     // so injecting it after the test set would discard the test set.
-    bool analysis_injected = false;
-    if (analysis_on) {
-        if (auto hit = store.get("analysis", keys.analysis)) {
-            try {
-                runner.inject_analysis(parse_analysis(*hit));
-                analysis_injected = true;
-                ++rep.stats.analysis_hits;
-            } catch (const std::exception&) {
-            }
-        }
-        if (!analysis_injected && store.enabled())
-            ++rep.stats.analysis_misses;
-    }
-    bool tests_injected = false;
-    if (auto hit = store.get("tests", keys.tests)) {
-        try {
-            runner.inject_tests(parse_tests(*hit));
-            tests_injected = true;
-            ++rep.stats.tests_hits;
-        } catch (const std::exception&) {
-        }
-    }
-    if (!tests_injected) {
-        if (store.enabled()) ++rep.stats.tests_misses;
-        bool faults_injected = false;
-        if (auto hit = store.get("faults", keys.faults)) {
-            try {
-                runner.inject_collapsed_faults(parse_faults(*hit));
-                faults_injected = true;
-                ++rep.stats.faults_hits;
-            } catch (const std::exception&) {
-            }
-        }
-        if (!faults_injected && store.enabled()) ++rep.stats.faults_misses;
-    }
-    bool sim_injected = false;
-    if (tests_injected) {
-        if (auto hit = store.get("sim", keys.sim)) {
-            try {
-                runner.inject_simulation(parse_simulation(*hit));
-                sim_injected = true;
-                ++rep.stats.sim_hits;
-            } catch (const std::exception&) {
-            }
-        }
-    }
-    if (!sim_injected && store.enabled()) ++rep.stats.sim_misses;
+    // Simulation data is only reused over a reused test set.
+    const bool analysis_injected =
+        analysis_on &&
+        cached("analysis", keys.analysis, st.analysis_hits,
+               st.analysis_misses, [&](const std::string& text) {
+                   runner.inject_analysis(parse_analysis(text));
+               });
+    const bool tests_injected =
+        cached("tests", keys.tests, st.tests_hits, st.tests_misses,
+               [&](const std::string& text) {
+                   runner.inject_tests(parse_tests(text));
+               });
+    if (!tests_injected)
+        cached("faults", keys.faults, st.faults_hits, st.faults_misses,
+               [&](const std::string& text) {
+                   runner.inject_collapsed_faults(parse_faults(text));
+               });
+    const bool sim_injected =
+        tests_injected &&
+        cached("sim", keys.sim, st.sim_hits, st.sim_misses,
+               [&](const std::string& text) {
+                   runner.inject_simulation(parse_simulation(text));
+               });
+    if (!tests_injected && store.enabled()) ++st.sim_misses;
 
+    // A cancel or deadline aborts the campaign; a vector budget is a
+    // deterministic part of the cell's configuration and commits normally.
+    const auto stopped = [&](support::StopReason reason) {
+        if (reason != support::StopReason::Cancelled &&
+            reason != support::StopReason::DeadlineExpired)
+            return false;
+        st.stop = reason;
+        return true;
+    };
     try {
         // Stage by stage, committing each freshly computed artifact as
         // soon as its stage completes: an interrupted campaign resumes
@@ -339,34 +245,23 @@ bool CampaignRunner::run_cell(std::size_t index, CampaignReport& rep,
         // to a cold one.
         if (analysis_on) {
             const flow::ExperimentRunner::AnalysisData& a = runner.analyze();
-            if (is_campaign_stop(a.stop)) {
-                rep.stats.stop = a.stop;
-                return false;
-            }
+            if (stopped(a.stop)) return false;
             if (!analysis_injected)
                 store.put("analysis", keys.analysis, serialize_analysis(a));
         }
         const flow::ExperimentRunner::TestSet& t = runner.generate_tests();
-        if (is_campaign_stop(t.tests.stop)) {
-            rep.stats.stop = t.tests.stop;
-            return false;
-        }
+        if (stopped(t.tests.stop)) return false;
         if (!tests_injected) {
             store.put("faults", keys.faults, serialize_faults(t.stuck));
             store.put("tests", keys.tests, serialize_tests(t));
         }
         const flow::ExperimentRunner::SimulationData& d = runner.simulate();
-        if (is_campaign_stop(d.stop)) {
-            rep.stats.stop = d.stop;
-            return false;
-        }
+        if (stopped(d.stop)) return false;
         if (!sim_injected)
             store.put("sim", keys.sim, serialize_simulation(d));
         const flow::ExperimentResult& res = runner.fit();
-        if (res.interruption && is_campaign_stop(res.interruption->reason)) {
-            rep.stats.stop = res.interruption->reason;
+        if (res.interruption && stopped(res.interruption->reason))
             return false;
-        }
         CellResult r = make_cell_result(cell, analysis_on, res);
         store.put("cell", keys.cell, serialize_cell(r));
         rep.cells.push_back(std::move(r));
@@ -378,10 +273,37 @@ bool CampaignRunner::run_cell(std::size_t index, CampaignReport& rep,
     }
 }
 
+}  // namespace
+
 CampaignReport run_campaign(const CampaignSpec& spec,
                             const CampaignOptions& options) {
-    CampaignRunner runner(spec, options);
-    return runner.run();
+    DLP_OBS_SPAN(span, "campaign.run");
+    CampaignReport rep;
+    rep.name = spec.name;
+    rep.swept = swept_axes(spec);
+    rep.stats.cells_total = spec.cell_count();
+    const std::vector<std::size_t> cells =
+        shard_cells(rep.stats.cells_total, options.shard);
+    rep.stats.cells_selected = cells.size();
+    ArtifactStore store(options.use_cache ? options.cache_dir : std::string());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (options.progress) options.progress("cell", i, cells.size());
+        if (const auto stop = options.budget.check();
+            stop != support::StopReason::None) {
+            rep.stats.stop = stop;
+            break;
+        }
+        if (!run_cell(spec, options, cells[i], rep, store)) break;
+        ++rep.stats.cells_completed;
+        if (options.progress)
+            options.progress("campaign", i + 1, cells.size());
+    }
+    rep.stats.store_corrupt = store.corrupt();
+    if (rep.stats.stop != support::StopReason::None)
+        DLP_OBS_SPAN_NOTE(
+            span, "campaign stopped: " + std::string(support::stop_reason_name(
+                                             rep.stats.stop)));
+    return rep;
 }
 
 }  // namespace dlp::campaign

@@ -68,41 +68,16 @@ struct CampaignReport {
     /// Completed cells in grid order (shard-selected).  Deterministic in
     /// the spec: cache hits, resumes and sharding never change content.
     std::vector<CellResult> cells;
-    /// True when the spec sweeps an n-detection axis (any target != 1).
-    /// Report emitters add the per-n quality columns only then, so
-    /// classic campaigns keep their exact report bytes.
-    bool ndetect_axis = false;
-    /// True when the spec turns the untestability analysis on anywhere;
-    /// report emitters add the corrected-vs-raw columns only then.
-    bool analysis_axis = false;
-    /// True when the spec sweeps a non-Poisson defect-statistics backend
-    /// anywhere; report emitters add the clustered columns only then.
-    bool defect_stats_axis = false;
+    /// The optional axes the spec sweeps (swept_axes): report emitters
+    /// add their columns only for these, so classic campaigns keep their
+    /// exact report bytes.
+    std::vector<std::size_t> swept;
     CampaignStats stats;
 };
 
-class CampaignRunner {
-public:
-    explicit CampaignRunner(CampaignSpec spec, CampaignOptions options = {});
-
-    /// Executes this run's shard of the grid.  Throws std::runtime_error
-    /// (with the cell identity prepended) when a cell's inputs fail the
-    /// static-analysis gate or cannot be resolved.
-    CampaignReport run();
-
-private:
-    /// False when a campaign-level budget stop interrupted the cell (the
-    /// stop reason is recorded in `report.stats.stop`; nothing committed).
-    bool run_cell(std::size_t index, CampaignReport& report,
-                  ArtifactStore& store);
-    void report_progress(std::string_view stage, std::size_t done,
-                         std::size_t total);
-
-    CampaignSpec spec_;
-    CampaignOptions options_;
-};
-
-/// One-call wrapper.
+/// Executes this run's shard of the grid.  Throws std::runtime_error
+/// (with the cell identity prepended) when a cell's inputs fail the
+/// static-analysis gate or cannot be resolved.
 CampaignReport run_campaign(const CampaignSpec& spec,
                             const CampaignOptions& options = {});
 

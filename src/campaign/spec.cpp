@@ -1,12 +1,12 @@
 #include "campaign/spec.h"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "extract/rules_parser.h"
-#include "model/defect_stats_model.h"
 #include "netlist/bench_parser.h"
 #include "netlist/builders.h"
 
@@ -21,17 +21,6 @@ std::string trim(const std::string& s) {
     return s.substr(b, e - b);
 }
 
-std::vector<std::string> split_list(const std::string& s) {
-    std::vector<std::string> out;
-    std::string item;
-    std::istringstream in(s);
-    while (std::getline(in, item, ',')) {
-        item = trim(item);
-        if (!item.empty()) out.push_back(item);
-    }
-    return out;
-}
-
 [[noreturn]] void fail(int line, const std::string& what) {
     throw std::runtime_error("campaign spec:" + std::to_string(line) + ": " +
                              what);
@@ -41,19 +30,6 @@ std::vector<std::string> split_list(const std::string& s) {
 // line, and dlproj_campaign names the flag that carried the value.
 [[noreturn]] void reject(const std::string& what) {
     throw std::runtime_error(what);
-}
-
-long long parse_int(const std::string& v) {
-    try {
-        size_t pos = 0;
-        const long long n = std::stoll(v, &pos);
-        if (pos != v.size()) reject("trailing junk in integer '" + v + "'");
-        return n;
-    } catch (const std::runtime_error&) {
-        throw;
-    } catch (const std::exception&) {
-        reject("expected an integer, got '" + v + "'");
-    }
 }
 
 double parse_double(const std::string& v) {
@@ -69,10 +45,18 @@ double parse_double(const std::string& v) {
     }
 }
 
-bool parse_bool(const std::string& v) {
-    if (v == "true" || v == "on" || v == "1") return true;
-    if (v == "false" || v == "off" || v == "0") return false;
-    reject("expected a boolean (true/false/on/off/1/0), got '" + v + "'");
+/// A [grid] list line: comma-separated items, blanks dropped, never empty.
+std::vector<std::string> grid_list(const std::string& key,
+                                   const std::string& value) {
+    std::vector<std::string> out;
+    std::string item;
+    std::istringstream in(value);
+    while (std::getline(in, item, ',')) {
+        item = trim(item);
+        if (!item.empty()) out.push_back(item);
+    }
+    if (out.empty()) reject("[grid] " + key + " is empty");
+    return out;
 }
 
 /// Applies one `key = value` line of `section` to `spec`.
@@ -94,21 +78,20 @@ void set_key(CampaignSpec& spec, const std::string& section,
             reject("unknown [campaign] key '" + key + "'");
     } else if (section == "grid") {
         if (key == "circuits")
-            spec.circuits = split_list(value);
+            spec.circuits = grid_list(key, value);
         else if (key == "rules")
-            spec.rules = split_list(value);
+            spec.rules = grid_list(key, value);
         else if (key == "seeds") {
             spec.seeds.clear();
-            for (const std::string& v : split_list(value))
-                spec.seeds.push_back(
-                    static_cast<std::uint64_t>(parse_int(v)));
+            for (const std::string& v : grid_list(key, value)) {
+                const long long seed = parse_int(v);
+                if (seed < 0) reject("negative seed '" + v + "'");
+                spec.seeds.push_back(static_cast<std::uint64_t>(seed));
+            }
         } else if (key == "atpg")
-            atpg_selection = split_list(value);
-        else if (key == "ndetect" || key == "analysis" ||
-                 key == "defect_stats")
-            set_grid_axis(spec, key, value);
+            atpg_selection = grid_list(key, value);
         else
-            reject("unknown [grid] key '" + key + "'");
+            set_grid_axis(spec, key, value);
     } else if (section.rfind("atpg.", 0) == 0) {
         atpg::TestGenOptions& o = spec.atpg.back().options;
         if (key == "random_block")
@@ -132,12 +115,6 @@ void set_key(CampaignSpec& spec, const std::string& section,
     }
 }
 
-bool ends_with(const std::string& s, const char* suffix) {
-    const std::string suf(suffix);
-    return s.size() >= suf.size() &&
-           s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
-}
-
 /// Parses "<prefix><N>" into N; -1 when `name` does not match.
 int int_suffix(const std::string& name, const char* prefix) {
     const std::string pre(prefix);
@@ -154,28 +131,48 @@ int int_suffix(const std::string& name, const char* prefix) {
 
 }  // namespace
 
+long long parse_int(const std::string& v) {
+    try {
+        size_t pos = 0;
+        const long long n = std::stoll(v, &pos);
+        if (pos != v.size()) reject("trailing junk in integer '" + v + "'");
+        return n;
+    } catch (const std::runtime_error&) {
+        throw;
+    } catch (const std::exception&) {
+        reject("expected an integer, got '" + v + "'");
+    }
+}
+
+bool parse_bool(const std::string& v) {
+    if (v == "true" || v == "on" || v == "1") return true;
+    if (v == "false" || v == "off" || v == "0") return false;
+    reject("expected a boolean (true/false/on/off/1/0), got '" + v + "'");
+}
+
+std::size_t CampaignSpec::cell_count() const {
+    std::size_t n =
+        circuits.size() * rules.size() * seeds.size() * atpg.size();
+    for (const std::vector<std::string>& items : axes) n *= items.size();
+    return n;
+}
+
 Cell cell_at(const CampaignSpec& spec, std::size_t index) {
-    const std::size_t nd = spec.defect_stats.size();
-    const std::size_t nz = spec.analysis.size();
-    const std::size_t nn = spec.ndetect.size();
-    const std::size_t na = spec.atpg.size();
-    const std::size_t ns = spec.seeds.size();
-    const std::size_t nr = spec.rules.size();
     Cell c;
     c.index = index;
-    // Newest axis innermost: a spec without it enumerates as before.
-    c.defect_stats = spec.defect_stats[index % nd];
-    index /= nd;
-    c.analysis = spec.analysis[index % nz] != 0;
-    index /= nz;
-    c.ndetect = spec.ndetect[index % nn];
-    index /= nn;
-    c.atpg = spec.atpg[index % na].name;
-    index /= na;
-    c.seed = spec.seeds[index % ns];
-    index /= ns;
-    c.rules = spec.rules[index % nr];
-    index /= nr;
+    const auto pick = [&](std::size_t n) {
+        const std::size_t i = index % n;
+        index /= n;
+        return i;
+    };
+    // The optional axes are innermost, the newest last: a spec without
+    // one enumerates as before it existed.
+    c.axes.resize(spec.axes.size());
+    for (std::size_t a = spec.axes.size(); a-- > 0;)
+        c.axes[a] = spec.axes[a][pick(spec.axes[a].size())];
+    c.atpg = spec.atpg[pick(spec.atpg.size())].name;
+    c.seed = spec.seeds[pick(spec.seeds.size())];
+    c.rules = spec.rules[pick(spec.rules.size())];
     c.circuit = spec.circuits.at(index);
     return c;
 }
@@ -189,41 +186,29 @@ const AtpgVariant& atpg_variant(const CampaignSpec& spec,
 
 void set_grid_axis(CampaignSpec& spec, const std::string& key,
                    const std::string& list) {
-    const std::vector<std::string> items = split_list(list);
-    if (items.empty()) reject("[grid] " + key + " is empty");
-    if (key == "ndetect") {
-        spec.ndetect.clear();
-        for (const std::string& v : items) {
-            const long long n = parse_int(v);
-            if (n < 1 || n > 64)
-                reject("ndetect target out of range [1, 64]: '" + v + "'");
-            spec.ndetect.push_back(static_cast<int>(n));
+    for (std::size_t a = 0; a < grid_axes().size(); ++a)
+        if (key == grid_axes()[a].key) {
+            std::vector<std::string> items = grid_list(key, list);
+            for (std::string& i : items) i = grid_axes()[a].canonical(i);
+            spec.axes[a] = std::move(items);
+            return;
         }
-    } else if (key == "analysis") {
-        spec.analysis.clear();
-        for (const std::string& v : items)
-            spec.analysis.push_back(parse_bool(v) ? 1 : 0);
-    } else if (key == "defect_stats") {
-        spec.defect_stats.clear();
-        for (const std::string& v : items) {
-            // Canonicalize through the model parser so equal backends
-            // spelled differently ("negbin:inf" vs "poisson") land on one
-            // cache key.
-            try {
-                spec.defect_stats.push_back(
-                    model::parse_defect_stats(v).describe());
-            } catch (const std::invalid_argument& e) {
-                reject(e.what());
+    reject("unknown [grid] key '" + key + "'");
+}
+
+std::vector<std::size_t> swept_axes(const CampaignSpec& spec) {
+    std::vector<std::size_t> swept;
+    for (std::size_t a = 0; a < spec.axes.size(); ++a)
+        for (const std::string& item : spec.axes[a])
+            if (item != grid_axes()[a].classic) {
+                swept.push_back(a);
+                break;
             }
-        }
-    } else {
-        reject("unknown [grid] axis '" + key + "'");
-    }
+    return swept;
 }
 
 CampaignSpec parse_campaign_spec(const std::string& text) {
     CampaignSpec spec;
-    spec.seeds.clear();
     spec.atpg.clear();
     std::vector<std::string> atpg_selection;  // [grid] atpg = ...
 
@@ -265,26 +250,18 @@ CampaignSpec parse_campaign_spec(const std::string& text) {
         }
     }
 
-    if (spec.seeds.empty()) spec.seeds.push_back(1);
     if (!atpg_selection.empty()) {
         // The grid selects variants by name; "default" is always available.
         std::vector<AtpgVariant> selected;
         for (const std::string& name : atpg_selection) {
-            bool found = false;
-            for (const AtpgVariant& v : spec.atpg)
-                if (v.name == name) {
-                    selected.push_back(v);
-                    found = true;
-                    break;
-                }
-            if (!found && name == "default") {
-                selected.push_back(AtpgVariant{});
-                found = true;
-            }
-            if (!found)
+            const auto it = std::find_if(
+                spec.atpg.begin(), spec.atpg.end(),
+                [&](const AtpgVariant& v) { return v.name == name; });
+            if (it == spec.atpg.end() && name != "default")
                 throw std::runtime_error(
                     "campaign spec: [grid] atpg names undefined variant '" +
                     name + "'");
+            selected.push_back(it != spec.atpg.end() ? *it : AtpgVariant{});
         }
         spec.atpg = std::move(selected);
     }
@@ -305,7 +282,7 @@ CampaignSpec load_campaign_spec(const std::string& path) {
 }
 
 netlist::Circuit resolve_circuit(const std::string& name) {
-    if (ends_with(name, ".bench")) return netlist::load_bench_file(name);
+    if (name.ends_with(".bench")) return netlist::load_bench_file(name);
     if (name == "c17") return netlist::build_c17();
     if (name == "c432") return netlist::build_c432();
     if (int n = int_suffix(name, "adder"); n > 0)
@@ -324,7 +301,7 @@ netlist::Circuit resolve_circuit(const std::string& name) {
 }
 
 extract::DefectStatistics resolve_rules(const std::string& name) {
-    if (ends_with(name, ".rules")) return extract::load_defect_rules(name);
+    if (name.ends_with(".rules")) return extract::load_defect_rules(name);
     if (name == "bridging" || name == "cmos_bridging_dominant")
         return extract::DefectStatistics::cmos_bridging_dominant();
     if (name == "open" || name == "open_dominant")

@@ -13,9 +13,9 @@
 //   rules = bridging, uniform
 //   seeds = 1, 2
 //   atpg = quick
-//   ndetect = 1, 2, 4, 8       # optional n-detection axis (default: 1)
-//   analysis = off, on         # optional untestability-analysis axis
-//   defect_stats = poisson, negbin:2   # optional clustering-backend axis
+//   ndetect = 1, 2, 4, 8       # optional axes (below); each defaults
+//   analysis = off, on         # to its classic item (1, off, poisson)
+//   defect_stats = poisson, negbin:2
 //
 //   [atpg.quick]               # one section per named ATPG variant
 //   max_random = 256
@@ -26,12 +26,10 @@
 // netlist/builders.h (c17, c432, adder<N>, parity<N>, mux<N>, decoder<N>,
 // alu<N>, hamming<N>) or to a .bench file path; rule decks resolve to the
 // DefectStatistics presets (bridging, open, uniform) or to a .rules file
-// path.  Cells enumerate in row-major grid order — circuit outermost, then
-// rules, seeds, ATPG variant, n-detection target, analysis setting,
-// defect-statistics backend — which is also the shard-partitioning and
-// report order.  The newest axis is
-// always innermost, so a spec without one enumerates exactly as before it
-// existed.
+// path.  Every [grid] list must be non-empty, and seeds must be
+// non-negative.  Cells enumerate in row-major grid order — circuit
+// outermost, then rules, seeds, ATPG variant, then the optional axes in
+// table order — which is also the shard-partitioning and report order.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +37,9 @@
 #include <vector>
 
 #include "atpg/generate.h"
+#include "campaign/artifacts.h"
 #include "extract/defect_stats.h"
+#include "flow/experiment.h"
 #include "netlist/circuit.h"
 
 namespace dlp::campaign {
@@ -50,6 +50,52 @@ struct AtpgVariant {
     atpg::TestGenOptions options;
 };
 
+// --- the optional grid axes, declared once --------------------------------
+// Each axis (ndetect, analysis, defect_stats) is one entry of the table
+// in axes.cpp; the spec parser, cell enumeration, cache keys, report
+// emitters and the CLI all loop over it.  An all-classic cell hashes,
+// serializes and reports byte-identically to a grid without the axis, and
+// reports show an axis's columns only when some cell leaves its classic
+// item.  The newest axis is innermost, so older grids keep their order.
+
+/// One report column: a member of the axis's JSON group object and a CSV
+/// column.  Values print as "%.17g", exact for integers below 2^53.
+struct AxisColumn {
+    const char* json;
+    const char* csv;
+    double (*value)(const CellResult&);
+};
+
+struct GridAxis {
+    const char* key;      ///< [grid] key; also the report identity column
+    const char* flag;     ///< dlproj_campaign flag overriding the list
+    const char* classic;  ///< default item; adds no key or report bytes
+    /// The key that gets the axis lines: the test-set key (and through it
+    /// the sim and cell keys) or the fitted-cell key alone.
+    enum class Stage { Tests, Cell } stage;
+    enum class Json { Number, Bool, String } json;  ///< Bool: "on" is true
+    const char* group;  ///< JSON name of the column group
+    /// Validates one list item and returns its canonical spelling, so
+    /// equal settings share one cache key; throws std::runtime_error.
+    std::string (*canonical)(const std::string& item);
+    /// Sets the flow option of a canonical item.
+    void (*apply)(const std::string& item, flow::ExperimentOptions& opt);
+    /// Key lines of the applied option; "" when the option leaves the
+    /// artifact as a classic cell computes it.
+    std::string (*key_lines)(const flow::ExperimentOptions& opt);
+    std::string (*item_of)(const CellResult& c);  ///< identity as recorded
+    std::vector<AxisColumn> columns;
+    /// Optional curve reported right after t_curve.
+    const char* curve = nullptr;
+    const flow::CoverageCurve& (*curve_of)(const CellResult&) = nullptr;
+};
+
+/// The table, in enumeration (innermost last) and report order.
+const std::vector<GridAxis>& grid_axes();
+
+/// One single-item list per axis: its classic item.
+std::vector<std::vector<std::string>> classic_axes();
+
 struct CampaignSpec {
     std::string name = "campaign";
     double target_yield = 0.75;  ///< flow::ExperimentOptions::target_yield
@@ -57,55 +103,16 @@ struct CampaignSpec {
     long long max_vectors = 0;   ///< per-cell vector budget (0 = unlimited)
     bool lint = true;            ///< per-cell static-analysis gate
 
-    // Grid axes (each must be non-empty; seeds/atpg/ndetect default to one
-    // entry).
+    // Grid axes (each must be non-empty; seeds/atpg default to one entry).
     std::vector<std::string> circuits;
     std::vector<std::string> rules;
     std::vector<std::uint64_t> seeds{1};
     std::vector<AtpgVariant> atpg{AtpgVariant{}};
-    /// n-detection targets (atpg::TestGenOptions::ndetect per cell).  The
-    /// default {1} is the classic single-detection grid; its cells hash,
-    /// serialize, and report byte-identically to a spec that predates the
-    /// axis.
-    std::vector<int> ndetect{1};
-    /// Static untestability-analysis settings (0 = off, 1 = on; the flow's
-    /// analyze() stage per cell).  The default {0} is the classic grid;
-    /// its cells hash, serialize, and report byte-identically to a spec
-    /// that predates the axis.
-    std::vector<int> analysis{0};
-    /// Defect-statistics backends (model::parse_defect_stats descriptors:
-    /// poisson, negbin:A, hier:wafer=A;die=A;region=F@A;...).  The default
-    /// {poisson} is the classic grid; its cells hash, serialize, and
-    /// report byte-identically to a spec that predates the axis, and
-    /// non-Poisson cells share every pre-fit artifact (faults, tests,
-    /// sim) with their Poisson siblings — only the cell artifact differs.
-    std::vector<std::string> defect_stats{"poisson"};
+    /// The optional axes: one list of canonical items per grid_axes()
+    /// entry, each defaulting to its classic item (see set_grid_axis).
+    std::vector<std::vector<std::string>> axes = classic_axes();
 
-    std::size_t cell_count() const {
-        return circuits.size() * rules.size() * seeds.size() * atpg.size() *
-               ndetect.size() * analysis.size() * defect_stats.size();
-    }
-    /// True when the grid actually sweeps n (any target != 1): reports add
-    /// the per-n quality columns only for such campaigns.
-    bool has_ndetect_axis() const {
-        for (int n : ndetect)
-            if (n != 1) return true;
-        return false;
-    }
-    /// True when any cell runs the untestability analysis: reports add the
-    /// corrected-vs-raw columns only for such campaigns.
-    bool has_analysis_axis() const {
-        for (int a : analysis)
-            if (a != 0) return true;
-        return false;
-    }
-    /// True when any cell uses a non-Poisson defect-statistics backend:
-    /// reports add the clustered columns only for such campaigns.
-    bool has_defect_stats_axis() const {
-        for (const std::string& d : defect_stats)
-            if (d != "poisson") return true;
-        return false;
-    }
+    std::size_t cell_count() const;
 };
 
 /// One grid point, identified by its row-major index.
@@ -114,10 +121,8 @@ struct Cell {
     std::string circuit;
     std::string rules;
     std::uint64_t seed = 1;
-    std::string atpg;  ///< variant name
-    int ndetect = 1;   ///< n-detection target
-    bool analysis = false;  ///< untestability-analysis setting
-    std::string defect_stats = "poisson";  ///< backend descriptor
+    std::string atpg;               ///< variant name
+    std::vector<std::string> axes;  ///< item per grid_axes() entry
 };
 
 /// The cell at row-major grid `index` (< spec.cell_count()).
@@ -128,15 +133,26 @@ const AtpgVariant& atpg_variant(const CampaignSpec& spec,
                                 const std::string& name);
 
 /// Parses a spec document; throws std::runtime_error with a line-numbered
-/// message on malformed input, unknown keys, or an empty grid axis.
+/// message on malformed input, unknown keys, an empty [grid] list or a
+/// negative seed, and without one when circuits or rules are missing.
 CampaignSpec parse_campaign_spec(const std::string& text);
 
-/// Replaces the [grid] list axis `key` (ndetect, analysis or defect_stats)
-/// of `spec` with the comma-separated `list`, validated and canonicalized
-/// exactly as the spec file's [grid] line is.  Throws std::runtime_error
-/// (without a line number) on a bad item or an empty list.
+/// Replaces the optional [grid] axis `key` of `spec` with the
+/// comma-separated `list`, validated and canonicalized exactly as the
+/// spec file's [grid] line is.  Throws std::runtime_error (without a line
+/// number) on an unknown key, a bad item or an empty list.
 void set_grid_axis(CampaignSpec& spec, const std::string& key,
                    const std::string& list);
+
+/// Indices into grid_axes() of the axes `spec` sweeps (some item is not
+/// classic); reports and --list add columns only for these.
+std::vector<std::size_t> swept_axes(const CampaignSpec& spec);
+
+/// The spec's checked scalar parsers: the whole string must be one
+/// integer, or one of true/false/on/off/1/0.  They throw
+/// std::runtime_error without a location.
+long long parse_int(const std::string& v);
+bool parse_bool(const std::string& v);
 
 /// Loads a spec file from disk.
 CampaignSpec load_campaign_spec(const std::string& path);

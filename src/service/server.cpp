@@ -11,7 +11,6 @@
 #include "campaign/report.h"
 #include "campaign/runner.h"
 #include "campaign/spec.h"
-#include "model/defect_stats_model.h"
 #include "obs/telemetry.h"
 #include "support/env.h"
 
@@ -440,12 +439,14 @@ void Service::execute_run(const Request& request, int fd) {
             spec.circuits = {request.circuit};
             spec.rules = {request.rules};
             spec.seeds = {request.seed};
-            if (request.ndetect >= 1) spec.ndetect = {request.ndetect};
-            if (request.analysis) spec.analysis = {1};
+            if (request.ndetect >= 1)
+                campaign::set_grid_axis(spec, "ndetect",
+                                        std::to_string(request.ndetect));
+            if (request.analysis)
+                campaign::set_grid_axis(spec, "analysis", "on");
             if (!request.defect_stats.empty())
-                spec.defect_stats = {
-                    model::parse_defect_stats(request.defect_stats)
-                        .describe()};
+                campaign::set_grid_axis(spec, "defect_stats",
+                                        request.defect_stats);
         }
         if (request.max_vectors >= 0) spec.max_vectors = request.max_vectors;
 

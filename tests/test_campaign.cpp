@@ -3,13 +3,16 @@
 // guarantees (hit/miss accounting, cross-cell artifact reuse,
 // cancel-then-resume byte-identity, corruption recovery).
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -31,6 +34,25 @@ std::string scratch_dir(const std::string& tag) {
     const std::string path = testing::TempDir() + "dlproj_campaign_" + tag;
     fs::remove_all(path);
     return path;
+}
+
+/// Index of the optional axis `key` in grid_axes().
+std::size_t axis_index(const std::string& key) {
+    for (std::size_t a = 0; a < grid_axes().size(); ++a)
+        if (key == grid_axes()[a].key) return a;
+    ADD_FAILURE() << "no grid axis " << key;
+    return 0;
+}
+
+/// The cell's item on the optional axis `key`.
+std::string item(const Cell& cell, const char* key) {
+    return cell.axes.at(axis_index(key));
+}
+
+/// True when `swept` (swept_axes or CampaignReport::swept) has axis `key`.
+bool sweeps(const std::vector<std::size_t>& swept, const char* key) {
+    return std::find(swept.begin(), swept.end(), axis_index(key)) !=
+           swept.end();
 }
 
 const char* kSmallSpec =
@@ -106,6 +128,23 @@ TEST(CampaignSpec, RejectsMalformedInput) {
         parse_campaign_spec("[grid]\ncircuits=c17\nrules=uniform\n"
                             "atpg = undefined_variant\n"),
         std::runtime_error);
+    // Every [grid] list goes through one list parser: an empty list or a
+    // negative seed fails with its line number instead of falling back to
+    // a default or wrapping to a huge seed.
+    for (const char* line :
+         {"seeds =", "seeds = ,", "atpg =", "circuits =", "rules =",
+          "ndetect =", "analysis =", "defect_stats =", "seeds = -1",
+          "seeds = 1, -2"}) {
+        SCOPED_TRACE(line);
+        try {
+            parse_campaign_spec("[grid]\ncircuits = c17\nrules = uniform\n" +
+                                std::string(line) + "\n");
+            ADD_FAILURE() << "accepted";
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()).rfind("campaign spec:4: ", 0), 0u)
+                << e.what();
+        }
+    }
 }
 
 TEST(CampaignSpec, ResolvesCircuitsAndRules) {
@@ -431,11 +470,11 @@ TEST(CampaignNDetect, AxisGridSharesClassicCacheByteIdentically) {
     const std::string cache = scratch_dir("ndetect_axis");
     const CampaignReport classic = run_campaign(spec, cached_options(cache));
     EXPECT_EQ(classic.stats.cell_misses, 1u);
-    EXPECT_FALSE(classic.ndetect_axis);
+    EXPECT_FALSE(sweeps(classic.swept, "ndetect"));
 
-    spec.ndetect = {1, 2};
+    set_grid_axis(spec, "ndetect", "1, 2");
     const CampaignReport warm = run_campaign(spec, cached_options(cache));
-    EXPECT_TRUE(warm.ndetect_axis);
+    EXPECT_TRUE(sweeps(warm.swept, "ndetect"));
     EXPECT_EQ(warm.stats.cell_hits, 1u);    // the n=1 cell
     EXPECT_EQ(warm.stats.cell_misses, 1u);  // the n=2 cell
     const CampaignReport cold =
@@ -645,18 +684,19 @@ TEST(CampaignAnalysis, SpecAxisParsesAndEnumeratesInnermost) {
         "rules = bridging, uniform\n"
         "ndetect = 1, 2\n"
         "analysis = off, on\n");
-    EXPECT_TRUE(s.has_analysis_axis());
+    EXPECT_TRUE(sweeps(swept_axes(s), "analysis"));
     EXPECT_EQ(s.cell_count(), 1u * 2u * 2u * 2u);
     // The analysis setting is the innermost axis: it toggles fastest, so
     // classic specs (default {off}) enumerate exactly as before.
-    EXPECT_FALSE(cell_at(s, 0).analysis);
-    EXPECT_TRUE(cell_at(s, 1).analysis);
-    EXPECT_EQ(cell_at(s, 1).ndetect, 1);
-    EXPECT_EQ(cell_at(s, 2).ndetect, 2);
+    EXPECT_EQ(item(cell_at(s, 0), "analysis"), "off");
+    EXPECT_EQ(item(cell_at(s, 1), "analysis"), "on");
+    EXPECT_EQ(item(cell_at(s, 1), "ndetect"), "1");
+    EXPECT_EQ(item(cell_at(s, 2), "ndetect"), "2");
     EXPECT_EQ(cell_at(s, 3).rules, "bridging");
     EXPECT_EQ(cell_at(s, 4).rules, "uniform");
 
-    EXPECT_FALSE(parse_campaign_spec(kSmallSpec).has_analysis_axis());
+    EXPECT_FALSE(
+        sweeps(swept_axes(parse_campaign_spec(kSmallSpec)), "analysis"));
     EXPECT_THROW(parse_campaign_spec("[grid]\ncircuits = c17\n"
                                      "rules = uniform\nanalysis = maybe\n"),
                  std::runtime_error);
@@ -705,12 +745,12 @@ TEST(CampaignAnalysis, AxisGridSharesClassicCacheByteIdentically) {
     const std::string cache = scratch_dir("analysis_axis");
     const CampaignReport classic = run_campaign(spec, cached_options(cache));
     EXPECT_EQ(classic.stats.cell_misses, 1u);
-    EXPECT_FALSE(classic.analysis_axis);
+    EXPECT_FALSE(sweeps(classic.swept, "analysis"));
     EXPECT_EQ(classic.stats.analysis_misses, 0u);  // stage never ran
 
-    spec.analysis = {0, 1};
+    set_grid_axis(spec, "analysis", "off, on");
     const CampaignReport warm = run_campaign(spec, cached_options(cache));
-    EXPECT_TRUE(warm.analysis_axis);
+    EXPECT_TRUE(sweeps(warm.swept, "analysis"));
     EXPECT_EQ(warm.stats.cell_hits, 1u);    // the off cell: classic bytes
     EXPECT_EQ(warm.stats.cell_misses, 1u);  // the on cell
     EXPECT_EQ(warm.stats.analysis_misses, 1u);
@@ -745,7 +785,7 @@ TEST(CampaignAnalysis, EnvKillSwitchCachesAsClassic) {
     CampaignSpec spec = parse_campaign_spec(kSmallSpec);
     spec.circuits = {write_redundant_bench("kill")};
     spec.rules = {"uniform"};
-    spec.analysis = {1};
+    set_grid_axis(spec, "analysis", "on");
     const std::string cache = scratch_dir("analysis_kill");
 
     ::setenv("DLPROJ_ANALYSIS", "off", 1);
@@ -758,7 +798,7 @@ TEST(CampaignAnalysis, EnvKillSwitchCachesAsClassic) {
 
     // The same cache now serves a classic (no-axis) run byte-identically.
     CampaignSpec classic = spec;
-    classic.analysis = {0};
+    set_grid_axis(classic, "analysis", "off");
     const CampaignReport warm = run_campaign(classic, cached_options(cache));
     EXPECT_EQ(warm.stats.cell_hits, 1u);
 
@@ -778,20 +818,21 @@ TEST(CampaignDefectStats, SpecAxisParsesCanonicalizesAndEnumeratesInnermost) {
         "rules = bridging, uniform\n"
         "analysis = off, on\n"
         "defect_stats = poisson, negbin:2, negbin:inf\n");
-    EXPECT_TRUE(s.has_defect_stats_axis());
+    EXPECT_TRUE(sweeps(swept_axes(s), "defect_stats"));
     EXPECT_EQ(s.cell_count(), 2u * 2u * 3u);
     // The backend is the innermost axis, and descriptors are canonical:
     // negbin:inf is spelled poisson so the alpha -> inf limit shares the
     // Poisson cache keys.
-    EXPECT_EQ(cell_at(s, 0).defect_stats, "poisson");
-    EXPECT_EQ(cell_at(s, 1).defect_stats, "negbin:2");
-    EXPECT_EQ(cell_at(s, 2).defect_stats, "poisson");
-    EXPECT_FALSE(cell_at(s, 2).analysis);
-    EXPECT_TRUE(cell_at(s, 3).analysis);
+    EXPECT_EQ(item(cell_at(s, 0), "defect_stats"), "poisson");
+    EXPECT_EQ(item(cell_at(s, 1), "defect_stats"), "negbin:2");
+    EXPECT_EQ(item(cell_at(s, 2), "defect_stats"), "poisson");
+    EXPECT_EQ(item(cell_at(s, 2), "analysis"), "off");
+    EXPECT_EQ(item(cell_at(s, 3), "analysis"), "on");
     EXPECT_EQ(cell_at(s, 6).rules, "uniform");
 
     // A spec without the key has the single-poisson default: no axis.
-    EXPECT_FALSE(parse_campaign_spec(kSmallSpec).has_defect_stats_axis());
+    EXPECT_FALSE(
+        sweeps(swept_axes(parse_campaign_spec(kSmallSpec)), "defect_stats"));
     EXPECT_THROW(
         parse_campaign_spec("[grid]\ncircuits = c17\nrules = uniform\n"
                             "defect_stats = negbin:-1\n"),
@@ -814,11 +855,11 @@ TEST(CampaignDefectStats, AxisGridSharesClassicCacheByteIdentically) {
     const std::string cache = scratch_dir("defect_stats_axis");
     const CampaignReport classic = run_campaign(spec, cached_options(cache));
     EXPECT_EQ(classic.stats.cell_misses, 1u);
-    EXPECT_FALSE(classic.defect_stats_axis);
+    EXPECT_FALSE(sweeps(classic.swept, "defect_stats"));
 
-    spec.defect_stats = {"poisson", "negbin:2"};
+    set_grid_axis(spec, "defect_stats", "poisson, negbin:2");
     const CampaignReport warm = run_campaign(spec, cached_options(cache));
-    EXPECT_TRUE(warm.defect_stats_axis);
+    EXPECT_TRUE(sweeps(warm.swept, "defect_stats"));
     EXPECT_EQ(warm.stats.cell_hits, 1u);    // the poisson cell
     EXPECT_EQ(warm.stats.cell_misses, 1u);  // the negbin cell
     EXPECT_EQ(warm.stats.sim_hits, 1u);     // shared across the axis
@@ -857,7 +898,7 @@ TEST(CampaignDefectStats, AlphaToInfinityMatchesPoissonEndToEnd) {
     CampaignSpec spec = parse_campaign_spec(kSmallSpec);
     spec.circuits = {"c17"};
     spec.rules = {"uniform"};
-    spec.defect_stats = {"poisson", "negbin:1000000"};
+    set_grid_axis(spec, "defect_stats", "poisson, negbin:1000000");
     const CampaignReport r =
         run_campaign(spec, cached_options(scratch_dir("defect_stats_inf")));
     ASSERT_EQ(r.cells.size(), 2u);
@@ -872,6 +913,88 @@ TEST(CampaignDefectStats, AlphaToInfinityMatchesPoissonEndToEnd) {
     EXPECT_NEAR(limit.fit_c_r, poisson.fit_r, 1e-3 + 0.05 * poisson.fit_r);
     EXPECT_NEAR(limit.fit_c_theta_max, poisson.fit_theta_max,
                 1e-3 + 0.05 * poisson.fit_theta_max);
+}
+
+// --- the optional-axis table ---------------------------------------------
+
+/// Runs `dlproj_campaign --list <flag>=<list> <spec>`; returns the exit
+/// status and stores stdout in `out`.
+int list_with_flag(const std::string& bin, const std::string& spec,
+                   const std::string& flag, const std::string& list,
+                   std::string& out) {
+    const std::string cmd = bin + " --list '" + flag + "=" + list + "' '" +
+                            spec + "' 2>/dev/null";
+    FILE* pipe = ::popen(cmd.c_str(), "r");
+    if (!pipe) return -1;
+    out.clear();
+    char buf[256];
+    while (std::size_t n = std::fread(buf, 1, sizeof buf, pipe))
+        out.append(buf, n);
+    const int status = ::pclose(pipe);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(CampaignAxes, EveryAxisParsesAlikeInSpecSetterAndFlag) {
+    // One good and one bad list per table entry: the [grid] line, the
+    // set_grid_axis setter and the dlproj_campaign flag must agree on the
+    // verdict and on the canonical items.  A new axis must add its case.
+    struct Case {
+        const char* good;
+        std::vector<std::string> canonical;
+        const char* bad;
+    };
+    const std::map<std::string, Case> cases = {
+        {"ndetect", {"1, 02,64", {"1", "2", "64"}, "4x"}},
+        {"analysis", {"0, on, true", {"off", "on", "on"}, "maybe"}},
+        {"defect_stats",
+         {"poisson, negbin:inf, negbin:2", {"poisson", "poisson", "negbin:2"},
+          "negbin:-1"}},
+    };
+    const std::string base = "[grid]\ncircuits = c17\nrules = uniform\n";
+    const std::string spec_path = scratch_dir("axes_spec.campaign");
+    std::ofstream(spec_path) << base;
+    const char* bin = std::getenv("DLPROJ_CAMPAIGN_BIN");
+
+    for (std::size_t a = 0; a < grid_axes().size(); ++a) {
+        const GridAxis& axis = grid_axes()[a];
+        SCOPED_TRACE(axis.key);
+        const auto it = cases.find(axis.key);
+        ASSERT_NE(it, cases.end()) << "no test case for this axis";
+        const Case& c = it->second;
+
+        const CampaignSpec from_line = parse_campaign_spec(
+            base + axis.key + " = " + c.good + "\n");
+        EXPECT_EQ(from_line.axes[a], c.canonical);
+        EXPECT_EQ(swept_axes(from_line), std::vector<std::size_t>{a});
+        EXPECT_THROW(
+            parse_campaign_spec(base + axis.key + " = " + c.bad + "\n"),
+            std::runtime_error);
+
+        CampaignSpec from_setter = parse_campaign_spec(base);
+        EXPECT_EQ(from_setter.axes[a], std::vector<std::string>{axis.classic});
+        set_grid_axis(from_setter, axis.key, c.good);
+        EXPECT_EQ(from_setter.axes[a], c.canonical);
+        EXPECT_THROW(set_grid_axis(from_setter, axis.key, c.bad),
+                     std::runtime_error);
+        EXPECT_EQ(from_setter.axes[a], c.canonical);  // unchanged on throw
+
+        if (!bin) continue;  // outside ctest: no binary to drive
+        std::string listing;
+        ASSERT_EQ(list_with_flag(bin, spec_path, axis.flag, c.good, listing),
+                  0);
+        std::string expected;
+        for (std::size_t i = 0; i < c.canonical.size(); ++i)
+            expected += std::to_string(i) +
+                        " c17 uniform seed=1 atpg=default " + axis.key + "=" +
+                        c.canonical[i] + "\n";
+        EXPECT_EQ(listing, expected);
+        EXPECT_EQ(list_with_flag(bin, spec_path, axis.flag, c.bad, listing),
+                  2);
+    }
+    // Only the optional axes go through the setter.
+    CampaignSpec spec = parse_campaign_spec(base);
+    EXPECT_THROW(set_grid_axis(spec, "bogus", "1"), std::runtime_error);
+    EXPECT_THROW(set_grid_axis(spec, "circuits", "c17"), std::runtime_error);
 }
 
 TEST(CampaignBudget, VectorBudgetIsDeterministicConfigNotAnInterruption) {

@@ -1,6 +1,7 @@
 // dlproj_campaign: batched experiment campaigns over a declarative grid
-// (circuits × rule decks × seeds × ATPG configs), backed by the
-// content-addressed artifact cache in src/campaign.
+// (circuits × rule decks × seeds × ATPG configs × the optional axes of
+// src/campaign/axes.cpp), backed by the content-addressed artifact cache
+// in src/campaign.
 //
 //   dlproj_campaign [options] <spec.campaign>
 //
@@ -16,15 +17,12 @@
 //                     PATH ("-" = stderr summary is always printed)
 //   --threads=N       worker count within each cell (0 = default)
 //   --max-vectors=N   override the spec's per-cell vector budget
-//   --ndetect=LIST    override the spec's [grid] ndetect axis with a
-//                     comma-separated list of targets in [1, 64]
-//                     (e.g. --ndetect=1,2,4,8)
-//   --analysis=LIST   override the spec's [grid] analysis axis with a
-//                     comma-separated list of on/off settings
-//                     (e.g. --analysis=off,on)
-//   --defect-stats=LIST  override the spec's [grid] defect_stats axis
-//                     with a comma-separated list of backend descriptors
-//                     ("poisson" | "negbin:A" | "hier[:...]"; e.g.
+//   --ndetect=LIST, --analysis=LIST, --defect-stats=LIST
+//                     override the spec's optional [grid] axis with a
+//                     comma-separated list, parsed exactly as the spec
+//                     line is (src/campaign/axes.cpp): n-detection targets
+//                     in [1, 64], on/off settings, or backend descriptors
+//                     (e.g. --ndetect=1,2,4,8 --analysis=off,on
 //                     --defect-stats=poisson,negbin:0.5,negbin:2)
 //   --timeout-ms=N    wall-clock budget for the whole campaign; on expiry
 //                     the run stops at the next cell/stage boundary and
@@ -46,11 +44,13 @@
 // recorded in the stats document.
 #include <signal.h>
 
+#include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <tuple>
+#include <vector>
 
 #include "support/cancel.h"
 
@@ -82,9 +82,11 @@ int usage(const char* argv0) {
     std::cerr << "usage: " << argv0
               << " [--cache-dir=PATH] [--no-cache] [--shard=I/N]"
                  " [--json=PATH] [--csv=PATH] [--stats=PATH]"
-                 " [--threads=N] [--max-vectors=N] [--ndetect=LIST]"
-                 " [--analysis=LIST] [--defect-stats=LIST] [--timeout-ms=N]"
-                 " [--no-recover] [--list] [--quiet] <spec.campaign>\n";
+                 " [--threads=N] [--max-vectors=N]";
+    for (const dlp::campaign::GridAxis& a : dlp::campaign::grid_axes())
+        std::cerr << " [" << a.flag << "=LIST]";
+    std::cerr << " [--timeout-ms=N] [--no-recover] [--list] [--quiet]"
+                 " <spec.campaign>\n";
     return 2;
 }
 
@@ -113,15 +115,18 @@ int main(int argc, char** argv) {
     long long max_vectors = -1;  // <0: keep the spec's value
     long long timeout_ms = 0;    // 0: no campaign-level deadline
     bool no_recover = false;
-    std::string ndetect_list;   // empty: keep the spec's axis
-    std::string analysis_list;  // empty: keep the spec's axis
-    std::string defect_stats_list;  // empty: keep the spec's axis
+    const std::vector<campaign::GridAxis>& axes = campaign::grid_axes();
+    std::vector<std::string> axis_lists(axes.size());  // "": keep the spec's
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto value = [&](const char* flag) {
             return arg.substr(std::strlen(flag));
         };
+        const auto axis = std::find_if(
+            axes.begin(), axes.end(), [&](const campaign::GridAxis& a) {
+                return arg.rfind(std::string(a.flag) + "=", 0) == 0;
+            });
         try {
             if (arg.rfind("--cache-dir=", 0) == 0)
                 cache_dir = value("--cache-dir=");
@@ -135,18 +140,17 @@ int main(int argc, char** argv) {
                 csv_path = value("--csv=");
             else if (arg.rfind("--stats=", 0) == 0)
                 stats_path = value("--stats=");
-            else if (arg.rfind("--threads=", 0) == 0)
-                threads = std::stoi(value("--threads="));
-            else if (arg.rfind("--max-vectors=", 0) == 0)
-                max_vectors = std::stoll(value("--max-vectors="));
-            else if (arg.rfind("--ndetect=", 0) == 0)
-                ndetect_list = value("--ndetect=");
-            else if (arg.rfind("--analysis=", 0) == 0)
-                analysis_list = value("--analysis=");
-            else if (arg.rfind("--defect-stats=", 0) == 0)
-                defect_stats_list = value("--defect-stats=");
+            else if (arg.rfind("--threads=", 0) == 0) {
+                const long long n = campaign::parse_int(value("--threads="));
+                if (n < INT_MIN || n > INT_MAX)
+                    throw std::out_of_range("thread count out of range");
+                threads = static_cast<int>(n);
+            } else if (arg.rfind("--max-vectors=", 0) == 0)
+                max_vectors = campaign::parse_int(value("--max-vectors="));
             else if (arg.rfind("--timeout-ms=", 0) == 0)
-                timeout_ms = std::stoll(value("--timeout-ms="));
+                timeout_ms = campaign::parse_int(value("--timeout-ms="));
+            else if (axis != axes.end())
+                axis_lists[axis - axes.begin()] = value(axis->flag).substr(1);
             else if (arg == "--no-recover")
                 no_recover = true;
             else if (arg == "--list")
@@ -180,36 +184,27 @@ int main(int argc, char** argv) {
     if (max_vectors >= 0) spec.max_vectors = max_vectors;
     // The axis flags reuse the spec's [grid] list parser, so a flag
     // accepts and rejects exactly what the spec line would.
-    for (const auto& [flag, key, items] :
-         {std::tuple{"--ndetect", "ndetect", &ndetect_list},
-          std::tuple{"--analysis", "analysis", &analysis_list},
-          std::tuple{"--defect-stats", "defect_stats", &defect_stats_list}}) {
-        if (items->empty()) continue;
+    for (std::size_t a = 0; a < axes.size(); ++a) {
+        if (axis_lists[a].empty()) continue;
         try {
-            campaign::set_grid_axis(spec, key, *items);
+            campaign::set_grid_axis(spec, axes[a].key, axis_lists[a]);
         } catch (const std::exception& e) {
-            std::cerr << argv[0] << ": bad " << flag << " list '" << *items
-                      << "': " << e.what() << "\n";
+            std::cerr << argv[0] << ": bad " << axes[a].flag << " list '"
+                      << axis_lists[a] << "': " << e.what() << "\n";
             return 2;
         }
     }
 
     if (list) {
-        // The ndetect/analysis/defect_stats columns appear only for grids
-        // that sweep them, so the listing of a classic spec keeps its
-        // exact bytes.
-        const bool show_ndetect = spec.has_ndetect_axis();
-        const bool show_analysis = spec.has_analysis_axis();
-        const bool show_stats = spec.has_defect_stats_axis();
+        // An optional axis gets a column only when the grid sweeps it, so
+        // the listing of a classic spec keeps its exact bytes.
+        const std::vector<std::size_t> swept = campaign::swept_axes(spec);
         for (std::size_t i = 0; i < spec.cell_count(); ++i) {
             const campaign::Cell c = campaign::cell_at(spec, i);
             std::cout << i << " " << c.circuit << " " << c.rules << " seed="
                       << c.seed << " atpg=" << c.atpg;
-            if (show_ndetect) std::cout << " ndetect=" << c.ndetect;
-            if (show_analysis)
-                std::cout << " analysis=" << (c.analysis ? "on" : "off");
-            if (show_stats)
-                std::cout << " defect_stats=" << c.defect_stats;
+            for (std::size_t a : swept)
+                std::cout << " " << axes[a].key << "=" << c.axes[a];
             std::cout << "\n";
         }
         return 0;
