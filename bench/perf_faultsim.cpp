@@ -61,6 +61,9 @@ BENCHMARK(BM_GateLevelFaultSim)
     ->Args({256, 8})
     ->UseRealTime();
 
+// The fault-free switch-level trace over 64 c432 vectors.  oracle:0 is the
+// production levelized pass on compiled tables (SwitchSim::settle);
+// oracle:1 the reference SwitchSim::step, every component swept from X.
 void BM_SwitchLevelGoodSim(benchmark::State& state) {
     const auto& c = mapped_c432();
     const auto net = switchsim::build_switch_netlist(c);
@@ -68,17 +71,25 @@ void BM_SwitchLevelGoodSim(benchmark::State& state) {
     gatesim::RandomPatternGenerator rng(1);
     const auto vectors = rng.vectors(c, 64);
     std::unique_ptr<bool[]> buf(new bool[c.inputs().size()]);
+    const bool oracle = state.range(0) != 0;
     for (auto _ : state) {
         auto st = sim.initial_state();
+        auto next = st;
         for (const auto& v : vectors) {
             for (size_t i = 0; i < v.size(); ++i) buf[i] = v[i];
-            sim.step(st, std::span<const bool>(buf.get(), v.size()));
+            const std::span<const bool> in(buf.get(), v.size());
+            if (oracle) {
+                sim.step(st, in);
+            } else {
+                sim.settle(next, st, in);
+                std::swap(st, next);
+            }
         }
         benchmark::DoNotOptimize(st);
     }
     state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_SwitchLevelGoodSim);
+BENCHMARK(BM_SwitchLevelGoodSim)->ArgName("oracle")->Arg(0)->Arg(1);
 
 void BM_Podem(benchmark::State& state) {
     const auto& c = mapped_c432();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -315,16 +316,18 @@ Shard parse_shard(const std::string& text) {
     const size_t slash = text.find('/');
     if (slash == std::string::npos)
         throw std::runtime_error("shard must be of the form i/n: " + text);
-    Shard s;
+    long long index = 0;
+    long long count = 0;
     try {
-        s.index = std::stoi(text.substr(0, slash));
-        s.count = std::stoi(text.substr(slash + 1));
-    } catch (const std::exception&) {
+        index = parse_int(text.substr(0, slash));
+        count = parse_int(text.substr(slash + 1));
+    } catch (const std::runtime_error&) {
         throw std::runtime_error("shard must be of the form i/n: " + text);
     }
-    if (s.count < 1 || s.index < 0 || s.index >= s.count)
+    if (count < 1 || count > std::numeric_limits<int>::max() || index < 0 ||
+        index >= count)
         throw std::runtime_error("shard index out of range: " + text);
-    return s;
+    return {static_cast<int>(index), static_cast<int>(count)};
 }
 
 std::vector<std::size_t> shard_cells(std::size_t total, const Shard& shard) {

@@ -63,48 +63,11 @@ SwitchFaultSimulator::SwitchFaultSimulator(const SwitchSim& sim,
 void SwitchFaultSimulator::compile_components() {
     const SwitchSim& sim = *sim_;
     const size_t nc = static_cast<size_t>(sim.component_count());
-    // CCC dependency graph: c -> r when a node of c gates a transistor of r.
-    std::vector<std::vector<std::int32_t>> readers(nc);
     std::vector<std::vector<std::int32_t>> drivers(nc);
-    for (size_t c = 0; c < nc; ++c) {
-        auto& rs = readers[c];
-        for (NodeId v : sim.component_nodes(static_cast<std::int32_t>(c)))
-            for (std::int32_t r : sim.gate_dependents(v)) rs.push_back(r);
-        std::sort(rs.begin(), rs.end());
-        rs.erase(std::unique(rs.begin(), rs.end()), rs.end());
-        for (std::int32_t r : rs)
-            drivers[static_cast<size_t>(r)].push_back(
-                static_cast<std::int32_t>(c));
-    }
-
-    // Longest-path levels (Kahn).  Components Kahn never releases lie on
-    // or below a fault-free cycle; they take the level past the deepest
-    // ordered one and join the loop set of every fault that reaches them.
-    std::vector<int> indegree(nc, 0);
-    for (const auto& rs : readers)
-        for (std::int32_t r : rs) ++indegree[static_cast<size_t>(r)];
-    level_.assign(nc, 0);
-    std::vector<std::int32_t> order;
-    order.reserve(nc);
-    for (size_t c = 0; c < nc; ++c)
-        if (indegree[c] == 0) order.push_back(static_cast<std::int32_t>(c));
-    for (size_t i = 0; i < order.size(); ++i) {
-        const std::int32_t c = order[i];
-        for (std::int32_t r : readers[static_cast<size_t>(c)]) {
-            level_[static_cast<size_t>(r)] = std::max(
-                level_[static_cast<size_t>(r)],
-                level_[static_cast<size_t>(c)] + 1);
-            if (--indegree[static_cast<size_t>(r)] == 0) order.push_back(r);
-        }
-    }
-    const bool acyclic = order.size() == nc;
-    depth_ = nc == 0 ? 1 : 1 + *std::max_element(level_.begin(), level_.end());
-    if (!acyclic) {
-        for (size_t c = 0; c < nc; ++c)
-            if (indegree[c] > 0) level_[c] = depth_;
-        ++depth_;
-    }
-
+    for (std::int32_t c = 0; c < sim.component_count(); ++c)
+        for (std::int32_t r : sim.readers(c))
+            drivers[static_cast<size_t>(r)].push_back(c);
+    const bool acyclic = sim.acyclic();
     // Loop set per fault: the components forward-reachable from the fault
     // site that reach back to a cycle - the bridge's own merged group when
     // it reaches itself, or a fault-free cycle.  No changing component
@@ -130,7 +93,7 @@ void SwitchFaultSimulator::compile_components() {
         // level cannot reach back to the group: prune the search there.
         std::int32_t group_depth = 0;
         for (std::int32_t c : pf.merged)
-            group_depth = std::max(group_depth, level_[static_cast<size_t>(c)]);
+            group_depth = std::max(group_depth, sim.level(c));
         bool group_loops = false;
         for (std::int32_t c : stack)
             if (!reach[static_cast<size_t>(c)]) {
@@ -140,14 +103,13 @@ void SwitchFaultSimulator::compile_components() {
         while (!stack.empty()) {
             const std::int32_t c = stack.back();
             stack.pop_back();
-            for (std::int32_t r : readers[static_cast<size_t>(c)]) {
+            for (std::int32_t r : sim.readers(c)) {
                 const bool in_group =
                     std::find(pf.merged.begin(), pf.merged.end(), r) !=
                     pf.merged.end();
                 group_loops |= in_group;
                 if (reach[static_cast<size_t>(r)] ||
-                    (acyclic && !in_group &&
-                     level_[static_cast<size_t>(r)] >= group_depth))
+                    (acyclic && !in_group && sim.level(r) >= group_depth))
                     continue;
                 reach[static_cast<size_t>(r)] = 1;
                 reached.push_back(r);
@@ -157,7 +119,7 @@ void SwitchFaultSimulator::compile_components() {
         if (group_loops) stack = pf.merged;
         if (!acyclic)
             for (std::int32_t c : reached)
-                if (indegree[static_cast<size_t>(c)] > 0) stack.push_back(c);
+                if (sim.in_cyclic_tail(c)) stack.push_back(c);
         for (std::int32_t c : stack) in_loop[static_cast<size_t>(c)] = 1;
         while (!stack.empty()) {
             const std::int32_t c = stack.back();
@@ -204,17 +166,18 @@ void SwitchFaultSimulator::simulate_fault(std::size_t fi, int vector_index,
     // A bridge-merged group is solved as one unit, queued under its first
     // component at the lowest level among its members: without a loop its
     // inputs never change, and every reader lies above that level.
-    std::int32_t group_level = depth_;
+    const std::int32_t depth = sim_->depth();
+    std::int32_t group_level = depth;
     for (std::int32_t c : pf.merged) {
         s.grouped[static_cast<size_t>(c)] = epoch;
-        group_level = std::min(group_level, level_[static_cast<size_t>(c)]);
+        group_level = std::min(group_level, sim_->level(c));
     }
     for (std::int32_t c : pf.loop) s.looped[static_cast<size_t>(c)] = epoch;
 
     int lo = static_cast<int>(s.bucket.size());
     int hi = -1;
     const auto enqueue = [&](std::int32_t c) {
-        int lv = level_[static_cast<size_t>(c)];
+        int lv = sim_->level(c);
         if (s.grouped[static_cast<size_t>(c)] == epoch) {
             c = pf.merged[0];
             lv = group_level;
@@ -222,7 +185,7 @@ void SwitchFaultSimulator::simulate_fault(std::size_t fi, int vector_index,
         if (s.queued[static_cast<size_t>(c)] == epoch) return;
         s.queued[static_cast<size_t>(c)] = epoch;
         const int b =
-            lv + (s.looped[static_cast<size_t>(c)] == epoch ? 0 : depth_);
+            lv + (s.looped[static_cast<size_t>(c)] == epoch ? 0 : depth);
         s.bucket[static_cast<size_t>(b)].push_back(c);
         lo = std::min(lo, b);
         hi = std::max(hi, b);
@@ -292,9 +255,15 @@ void SwitchFaultSimulator::simulate_fault(std::size_t fi, int vector_index,
     }
 
     // Drain in level order; a component is re-queued only when a node it
-    // reads changes.
+    // reads changes.  Only the fault's own seed components (which hold the
+    // merged group) need the solver: every other component is fault-free,
+    // and its compiled table is a pure function of gate values and prev.
     const int cap = sim_->params().max_sweeps;
     std::vector<SV>& before = s.before;
+    const auto is_seed = [&](std::int32_t c) {
+        return std::find(pf.seed_comps.begin(), pf.seed_comps.end(), c) !=
+               pf.seed_comps.end();
+    };
     while (lo <= hi) {
         auto& bucket = s.bucket[static_cast<size_t>(lo)];
         if (bucket.empty()) {
@@ -313,8 +282,20 @@ void SwitchFaultSimulator::simulate_fault(std::size_t fi, int vector_index,
             continue;
         }
         ++s.visits[static_cast<size_t>(c)];
-        ++s.solves;
 
+        if (sim_->table_of(c) >= 0 && !is_seed(c)) {
+            ++s.table_hits;
+            const std::uint8_t* row = sim_->table_row(c, cur);
+            for (NodeId v : sim_->component_nodes(c)) {
+                const size_t i = static_cast<size_t>(v);
+                const SV nv = SwitchSim::table_value(*row++, prev[i]);
+                if (nv == cur[i]) continue;
+                cur[i] = nv;
+                notify_readers(v);
+            }
+            continue;
+        }
+        ++s.solves;
         before.clear();
         for (std::int32_t gc : group)
             for (NodeId v : sim_->component_nodes(gc))
@@ -385,9 +366,12 @@ support::ApplyResult SwitchFaultSimulator::apply(
     std::vector<Scratch> scratch(static_cast<size_t>(workers));
     // Stealing quantum: coarse enough that the per-chunk state resync cost
     // (two full-state copies per vector) stays negligible, fine enough to
-    // balance skewed per-fault cost across workers.
+    // balance skewed per-fault cost across workers.  Undetected faults,
+    // the expensive ones in late batches, cluster by extraction order, so
+    // 32 chunks per worker rather than 8 (c432 flow: parallel efficiency
+    // 0.79 -> 0.89 on 4 cores).
     const size_t grain = std::max<size_t>(
-        4, faults_.size() / (static_cast<size_t>(workers) * 8));
+        4, faults_.size() / (static_cast<size_t>(workers) * 32));
 
     // std::vector<bool> is bit-packed; unpack into a plain array for the span.
     std::unique_ptr<bool[]> barr;
@@ -400,6 +384,8 @@ support::ApplyResult SwitchFaultSimulator::apply(
     DLP_OBS_COUNTER(c_batches, "faultsim.switch.batches");
     DLP_OBS_COUNTER(c_dropped, "faultsim.switch.dropped");
     DLP_OBS_COUNTER(c_solves, "faultsim.switch.solves");
+    DLP_OBS_COUNTER(c_table_hits, "faultsim.switch.table_hits");
+    DLP_OBS_COUNTER(c_good_solves, "faultsim.switch.good_solves");
     DLP_OBS_COUNTER(c_restarts, "faultsim.switch.loop_restarts");
     DLP_OBS_COUNTER(c_cap_hits, "faultsim.switch.cap_hits");
     DLP_OBS_GAUGE(g_remaining, "faultsim.switch.remaining");
@@ -423,6 +409,7 @@ support::ApplyResult SwitchFaultSimulator::apply(
         // vector v, trace[v+1] the state after it.
         trace.resize(m + 1);
         trace[0] = good_;
+        long long good_solves = 0;
         for (size_t v = 0; v < m; ++v) {
             const Vector& in = vectors[base + v];
             if (barr_size < in.size()) {
@@ -430,22 +417,26 @@ support::ApplyResult SwitchFaultSimulator::apply(
                 barr_size = in.size();
             }
             for (size_t i = 0; i < in.size(); ++i) barr[i] = in[i];
-            sim_->step(good_, std::span<const bool>(barr.get(), in.size()));
-            trace[v + 1] = good_;
+            good_solves += sim_->settle(
+                trace[v + 1], trace[v],
+                std::span<const bool>(barr.get(), in.size()));
         }
+        good_ = trace[m];
+        DLP_OBS_ADD(c_good_solves, good_solves);
 
         parallel::parallel_for(
             faults_.size(), grain,
             [&](size_t fb, size_t fe, int w) {
                 Scratch& ws = scratch[static_cast<size_t>(w)];
                 if (ws.bucket.empty()) {
-                    const size_t nc = level_.size();
+                    const size_t nc =
+                        static_cast<size_t>(sim_->component_count());
                     ws.queued.assign(nc, 0);
                     ws.touched.assign(nc, 0);
                     ws.grouped.assign(nc, 0);
                     ws.looped.assign(nc, 0);
                     ws.visits.assign(nc, 0);
-                    ws.bucket.resize(2 * static_cast<size_t>(depth_));
+                    ws.bucket.resize(2 * static_cast<size_t>(sim_->depth()));
                 }
                 for (size_t v = 0; v < m; ++v) {
                     const int k =
@@ -473,15 +464,18 @@ support::ApplyResult SwitchFaultSimulator::apply(
         // Per-fault work is independent of the worker that ran it, so the
         // summed solver counters are thread-count-invariant.
         long long solves = 0;
+        long long table_hits = 0;
         long long restarts = 0;
         long long cap_hits = 0;
         for (Scratch& ws : scratch) {
             solves += std::exchange(ws.solves, 0);
+            table_hits += std::exchange(ws.table_hits, 0);
             restarts += std::exchange(ws.loop_restarts, 0);
             cap_hits += std::exchange(ws.cap_hits, 0);
         }
         cap_hits_ += cap_hits;
         DLP_OBS_ADD(c_solves, solves);
+        DLP_OBS_ADD(c_table_hits, table_hits);
         DLP_OBS_ADD(c_restarts, restarts);
         DLP_OBS_ADD(c_cap_hits, cap_hits);
 

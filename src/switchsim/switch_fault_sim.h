@@ -24,13 +24,18 @@
 // (the components reachable from the bridge that also reach back to it)
 // restarts from X and is solved to its least fixpoint before anything
 // downstream, matching the reference's ternary least-fixpoint semantics.
+// Only the fault's own components run the transistor-level solver; every
+// fault-free component, in the loop or not, is a lookup in its compiled
+// response table (SwitchSim::table_row), which is exact for any gate
+// values and retained charge.
 //
 // Fault simulations are independent given the fault-free trace, so apply()
 // fans faults out across the shared thread pool (parallel/parallel_for.h):
-// the good-machine states for a batch of vectors are computed once and
-// shared read-only, each worker owns a scratch state pair, and every result
-// slot (detected_at_, iddq_at_, divergence) is written only by the worker
-// that owns that fault.  Detection indices are per-fault vector positions,
+// the good-machine states for a batch of vectors are computed once (one
+// levelized pass per vector, SwitchSim::settle) and shared read-only, each
+// worker owns a scratch state pair, and every result slot (detected_at_,
+// iddq_at_, divergence) is written only by the worker that owns that
+// fault.  Detection indices are per-fault vector positions,
 // never completion order, so all results are bit-identical to the serial
 // path for any worker count.
 #pragma once
@@ -145,6 +150,7 @@ private:
         std::vector<SV> before;
         std::uint64_t epoch = 0;
         long long solves = 0;
+        long long table_hits = 0;
         long long loop_restarts = 0;
         long long cap_hits = 0;
     };
@@ -156,8 +162,8 @@ private:
     void check_iddq(std::size_t fi, int vector_index,
                     const SwitchSim::State& good);
 
-    /// Levels the fault-free CCC dependency graph and derives each fault's
-    /// feedback loop set from it.
+    /// Derives each fault's feedback loop set from the fault-free CCC
+    /// graph SwitchSim levels.
     void compile_components();
 
     const SwitchSim* sim_;
@@ -167,11 +173,6 @@ private:
     std::vector<int> iddq_at_;
     double total_weight_ = 0.0;
 
-    /// Static topological level of each component in the fault-free CCC
-    /// graph; components on or below a fault-free cycle share the level
-    /// past the deepest ordered one.
-    std::vector<std::int32_t> level_;
-    std::int32_t depth_ = 1;  ///< number of levels
     long long cap_hits_ = 0;
 
     SwitchSim::State good_;          ///< fault-free state after the sequence

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <stdexcept>
 
@@ -92,6 +93,139 @@ SwitchSim::SwitchSim(const SwitchNetlist& netlist, SimParams params)
         auto& deps = gate_deps_[static_cast<size_t>(tr.gate)];
         if (std::find(deps.begin(), deps.end(), c) == deps.end())
             deps.push_back(c);
+    }
+    level_components();
+    compile_tables();
+}
+
+void SwitchSim::level_components() {
+    const size_t nc = static_cast<size_t>(component_count_);
+    // CCC dependency graph: c -> r when a node of c gates a transistor of r.
+    readers_.assign(nc, {});
+    for (size_t c = 0; c < nc; ++c) {
+        auto& rs = readers_[c];
+        for (NodeId v : comp_nodes_[c])
+            for (std::int32_t r : gate_deps_[static_cast<size_t>(v)])
+                rs.push_back(r);
+        std::sort(rs.begin(), rs.end());
+        rs.erase(std::unique(rs.begin(), rs.end()), rs.end());
+    }
+
+    // Longest-path levels (Kahn).  Components Kahn never releases lie on
+    // or below a fault-free cycle; they take the level past the deepest
+    // ordered one.
+    std::vector<int> indegree(nc, 0);
+    for (const auto& rs : readers_)
+        for (std::int32_t r : rs) ++indegree[static_cast<size_t>(r)];
+    level_.assign(nc, 0);
+    order_.clear();
+    order_.reserve(nc);
+    for (size_t c = 0; c < nc; ++c)
+        if (indegree[c] == 0) order_.push_back(static_cast<std::int32_t>(c));
+    for (size_t i = 0; i < order_.size(); ++i) {
+        const std::int32_t c = order_[i];
+        for (std::int32_t r : readers_[static_cast<size_t>(c)]) {
+            level_[static_cast<size_t>(r)] =
+                std::max(level_[static_cast<size_t>(r)],
+                         level_[static_cast<size_t>(c)] + 1);
+            if (--indegree[static_cast<size_t>(r)] == 0) order_.push_back(r);
+        }
+    }
+    tail_begin_ = order_.size();
+    depth_ = nc == 0 ? 1 : 1 + *std::max_element(level_.begin(), level_.end());
+    if (tail_begin_ < nc) {
+        for (size_t c = 0; c < nc; ++c)
+            if (indegree[c] > 0) {
+                level_[c] = depth_;
+                order_.push_back(static_cast<std::int32_t>(c));
+            }
+        ++depth_;
+    }
+}
+
+void SwitchSim::compile_tables() {
+    compiled_.assign(static_cast<size_t>(component_count_), {});
+    // -1 for GND, -2 for VDD, 0 for any other node.
+    const auto supply_code = [](NodeId v) -> std::int32_t {
+        return v == SwitchNetlist::kGnd ? -1
+               : v == SwitchNetlist::kVdd ? -2
+                                          : 0;
+    };
+    // A component's structure key: node count, then per transistor its
+    // type and its gate, source and drain as a gate-net digit, a node slot
+    // or a supply.  Equal keys make solve_component run the same
+    // arithmetic, so one table serves every instance of a structure.
+    std::map<std::vector<std::int32_t>, std::int32_t> shared;
+    std::vector<std::int32_t> key;
+    State state = initial_state();
+    State prev = initial_state();
+    for (std::int32_t c = 0; c < component_count_; ++c) {
+        const auto& nodes = comp_nodes_[static_cast<size_t>(c)];
+        const auto slot = [&](NodeId v) -> std::int32_t {
+            if (const std::int32_t code = supply_code(v)) return code;
+            return static_cast<std::int32_t>(
+                std::lower_bound(nodes.begin(), nodes.end(), v) -
+                nodes.begin());
+        };
+        Compiled cc;
+        key.assign(1, static_cast<std::int32_t>(nodes.size()));
+        bool eligible = true;
+        for (int t : comp_transistors_[static_cast<size_t>(c)]) {
+            const auto& tr = netlist_->transistors[static_cast<size_t>(t)];
+            std::int32_t gate = supply_code(tr.gate);
+            if (component_of_[static_cast<size_t>(tr.gate)] == c) {
+                eligible = false;  // a node of its own gates it
+                break;
+            }
+            if (gate == 0) {  // a signal gate: its digit, new or seen
+                const auto end = cc.gates.begin() + cc.gate_count;
+                gate = static_cast<std::int32_t>(
+                    std::find(cc.gates.begin(), end, tr.gate) -
+                    cc.gates.begin());
+                if (gate == cc.gate_count) {
+                    if (cc.gate_count == kTableGates) {
+                        eligible = false;
+                        break;
+                    }
+                    cc.gates[static_cast<size_t>(cc.gate_count++)] = tr.gate;
+                }
+            }
+            key.insert(key.end(), {tr.is_pmos ? 1 : 0, gate, slot(tr.source),
+                                   slot(tr.drain)});
+        }
+        if (!eligible) continue;
+        const auto [it, fresh] = shared.try_emplace(
+            key, static_cast<std::int32_t>(table_base_.size()));
+        cc.table = it->second;
+        if (fresh) {
+            // Row r sets gate digit i to (r / 3^i) mod 3; each row is solved
+            // once per uniform previous value, which per node is exact.
+            const size_t ns = nodes.size();
+            std::uint32_t rows = 1;
+            for (int i = 0; i < cc.gate_count; ++i) rows *= 3;
+            const size_t base = table_data_.size();
+            table_base_.push_back(static_cast<std::uint32_t>(base));
+            table_data_.resize(base + rows * ns, 0);
+            for (std::uint32_t r = 0; r < rows; ++r) {
+                std::uint32_t digits = r;
+                for (int i = 0; i < cc.gate_count; ++i, digits /= 3) {
+                    const NodeId g = cc.gates[static_cast<size_t>(i)];
+                    state[static_cast<size_t>(g)] = static_cast<SV>(digits % 3);
+                }
+                std::uint8_t* entry = table_data_.data() + base + r * ns;
+                for (const SV p : {SV::Zero, SV::One, SV::X}) {
+                    for (NodeId v : nodes) prev[static_cast<size_t>(v)] = p;
+                    solve_component(state, prev, std::span(&c, 1), FaultView{});
+                    const int shift = 2 * static_cast<int>(p);
+                    for (size_t i = 0; i < ns; ++i)
+                        entry[i] |= static_cast<std::uint8_t>(
+                            static_cast<unsigned>(
+                                state[static_cast<size_t>(nodes[i])])
+                            << shift);
+                }
+            }
+        }
+        compiled_[static_cast<size_t>(c)] = cc;
     }
 }
 
@@ -422,6 +556,62 @@ void SwitchSim::run(State& state, std::span<const bool> inputs,
                 }
         }
     }
+}
+
+void SwitchSim::lookup_component(State& state, const State& prev,
+                                 std::int32_t comp) const {
+    const std::uint8_t* row = table_row(comp, state);
+    for (NodeId v : comp_nodes_[static_cast<size_t>(comp)])
+        state[static_cast<size_t>(v)] =
+            table_value(*row++, prev[static_cast<size_t>(v)]);
+}
+
+int SwitchSim::settle(State& state, const State& prev,
+                      std::span<const bool> inputs) const {
+    if (inputs.size() != netlist_->input_nodes.size())
+        throw std::invalid_argument("input width mismatch");
+    state = prev;
+    state[SwitchNetlist::kGnd] = SV::Zero;
+    state[SwitchNetlist::kVdd] = SV::One;
+    for (size_t i = 0; i < inputs.size(); ++i)
+        state[static_cast<size_t>(netlist_->input_nodes[i])] =
+            inputs[i] ? SV::One : SV::Zero;
+
+    int solves = 0;
+    const auto evaluate = [&](std::int32_t c) {
+        if (table_of(c) >= 0) {
+            lookup_component(state, prev, c);
+        } else {
+            solve_component(state, prev, std::span(&c, 1), FaultView{});
+            ++solves;
+        }
+    };
+    // Below the tail every component reads only components ordered before
+    // it, which are final when it is evaluated: one pass is the unique
+    // fixpoint.
+    for (size_t i = 0; i < tail_begin_; ++i) evaluate(order_[i]);
+
+    // The cyclic tail restarts from X and sweeps, in index order, to its
+    // least fixpoint - the reference's semantics.
+    const auto tail = std::span(order_).subspan(tail_begin_);
+    for (std::int32_t c : tail)
+        for (NodeId v : comp_nodes_[static_cast<size_t>(c)])
+            state[static_cast<size_t>(v)] = SV::X;
+    static thread_local std::vector<SV> before;
+    bool changed = !tail.empty();
+    int sweeps = 0;
+    while (changed && sweeps++ < params_.max_sweeps) {
+        changed = false;
+        for (std::int32_t c : tail) {
+            const auto& cn = comp_nodes_[static_cast<size_t>(c)];
+            before.clear();
+            for (NodeId v : cn) before.push_back(state[static_cast<size_t>(v)]);
+            evaluate(c);
+            for (size_t i = 0; i < cn.size() && !changed; ++i)
+                changed = before[i] != state[static_cast<size_t>(cn[i])];
+        }
+    }
+    return solves;
 }
 
 void SwitchSim::step(State& state, std::span<const bool> inputs) const {

@@ -16,8 +16,18 @@
 //  * nodes with no conducting path keep their previous value (charge
 //    retention) - this is what makes stuck-open faults need two-pattern
 //    sequences, the paper's "opens are harder to detect" effect.
+//
+// A fault-free CCC whose gate nets are few and outside it is a pure
+// function of its gate values and of each node's own retained charge, so
+// construction compiles it into an exact ternary response table (built by
+// solve_component itself, shared by every instance of the same structure)
+// and settle() evaluates the fault-free circuit as one topological pass
+// over the CCC graph with table lookups.  step() and step_faulty() - every
+// channel node from X, whole-circuit sweeps - are the reference they are
+// tested against.
 #pragma once
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -108,14 +118,22 @@ public:
     using State = std::vector<SV>;
     State initial_state() const;
 
-    /// Applies one input vector to `state` (previous values provide charge
-    /// retention) in the fault-free circuit.
+    /// Reference: applies one input vector to `state` (previous values
+    /// provide charge retention) in the fault-free circuit, sweeping every
+    /// component from X to the least fixpoint.  Tests and benches only.
     void step(State& state, std::span<const bool> inputs) const;
 
-    /// Applies one input vector under a fault.  `state` is the fault
-    /// circuit's own persistent state.
+    /// Reference: applies one input vector under a fault.  `state` is the
+    /// fault circuit's own persistent state.  Tests and benches only.
     void step_faulty(State& state, std::span<const bool> inputs,
                      const SwitchFault& fault) const;
+
+    /// Fault-free step from `prev` into `state`, equal to step(): one pass
+    /// over the components in topological order (table lookups where
+    /// compiled), then the cyclic tail swept from X to its fixpoint under
+    /// SimParams::max_sweeps.  Returns the solve_component calls made.
+    int settle(State& state, const State& prev,
+               std::span<const bool> inputs) const;
 
     /// PO values of a state, in circuit output order.
     std::vector<SV> outputs(const State& state) const;
@@ -141,6 +159,64 @@ public:
     }
     const SimParams& params() const { return params_; }
 
+    /// Components gated by a node of `comp`, ascending: the fault-free CCC
+    /// graph's edges out of `comp`.
+    std::span<const std::int32_t> readers(std::int32_t comp) const {
+        return readers_[static_cast<size_t>(comp)];
+    }
+    /// Longest-path level of `comp` in the fault-free CCC graph.  When the
+    /// graph has a cycle, every component on or below one shares the last
+    /// level, depth() - 1: the cyclic tail.
+    std::int32_t level(std::int32_t comp) const {
+        return level_[static_cast<size_t>(comp)];
+    }
+    std::int32_t depth() const { return depth_; }
+    bool acyclic() const { return tail_begin_ == order_.size(); }
+    bool in_cyclic_tail(std::int32_t comp) const {
+        return !acyclic() && level(comp) == depth_ - 1;
+    }
+
+    /// Most distinct gate nets a compiled response table is indexed by.
+    static constexpr int kTableGates = 4;
+
+    /// The compiled response table `comp` evaluates through in the
+    /// fault-free circuit, or -1 when it needs the solver (more than
+    /// kTableGates gate nets, or a node of its own gating it).  Components
+    /// of the same structure share a table.
+    std::int32_t table_of(std::int32_t comp) const {
+        return compiled_[static_cast<size_t>(comp)].table;
+    }
+    std::size_t table_count() const { return table_base_.size(); }
+    /// The gate nets indexing `comp`'s table, each a base-3 digit of the
+    /// row (SV order), least significant first.  Supply gates are constants
+    /// of the table, not digits.
+    std::span<const NodeId> table_gates(std::int32_t comp) const {
+        const Compiled& cc = compiled_[static_cast<size_t>(comp)];
+        return std::span(cc.gates).first(static_cast<size_t>(cc.gate_count));
+    }
+    /// The table row for the gate values in `state`: entry i packs
+    /// component node i's fault-free value for each previous value, see
+    /// table_value().
+    const std::uint8_t* table_row(std::int32_t comp,
+                                  const State& state) const {
+        const Compiled& cc = compiled_[static_cast<size_t>(comp)];
+        size_t row = 0;
+        for (int i = cc.gate_count - 1; i >= 0; --i) {
+            const NodeId g = cc.gates[static_cast<size_t>(i)];
+            row = 3 * row + static_cast<size_t>(state[static_cast<size_t>(g)]);
+        }
+        return table_data_.data() +
+               table_base_[static_cast<size_t>(cc.table)] +
+               row * comp_nodes_[static_cast<size_t>(comp)].size();
+    }
+    static SV table_value(std::uint8_t entry, SV prev) {
+        return static_cast<SV>((entry >> (2 * static_cast<int>(prev))) & 3u);
+    }
+    /// Fault-free evaluation of a tabulated component: writes the values
+    /// solve_component would with no fault.
+    void lookup_component(State& state, const State& prev,
+                          std::int32_t comp) const;
+
 private:
     void run(State& state, std::span<const bool> inputs,
              const FaultView& fault) const;
@@ -152,6 +228,29 @@ private:
     std::vector<std::vector<int>> comp_transistors_;   ///< per component
     std::vector<std::vector<NodeId>> comp_nodes_;      ///< per component
     std::vector<std::vector<std::int32_t>> gate_deps_; ///< node -> components gated
+    std::vector<std::vector<std::int32_t>> readers_;   ///< per component
+
+    std::vector<std::int32_t> level_;  ///< per component
+    std::int32_t depth_ = 1;           ///< number of levels
+    /// Components in topological (Kahn) order, so each follows every
+    /// component that gates it; then the cyclic tail, if any, by index
+    /// from order_[tail_begin_].
+    std::vector<std::int32_t> order_;
+    std::size_t tail_begin_ = 0;
+
+    struct Compiled {
+        std::int32_t table = -1;
+        std::int32_t gate_count = 0;
+        std::array<NodeId, kTableGates> gates{};
+    };
+    std::vector<Compiled> compiled_;         ///< per component
+    std::vector<std::uint32_t> table_base_;  ///< per table, into table_data_
+    /// Table t: 3^gates rows of one byte per component node, each byte the
+    /// node's value for prev 0, 1 and X in bits 0-1, 2-3 and 4-5.
+    std::vector<std::uint8_t> table_data_;
+
+    void level_components();
+    void compile_tables();
 };
 
 }  // namespace dlp::switchsim

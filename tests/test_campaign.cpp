@@ -169,6 +169,9 @@ TEST(CampaignShard, ParseAcceptsAndRejects) {
     EXPECT_THROW(parse_shard("-1/2"), std::runtime_error);
     EXPECT_THROW(parse_shard("0/0"), std::runtime_error);
     EXPECT_THROW(parse_shard("x/y"), std::runtime_error);
+    EXPECT_THROW(parse_shard("1x/2"), std::runtime_error);  // trailing junk
+    EXPECT_THROW(parse_shard("0/2y"), std::runtime_error);
+    EXPECT_THROW(parse_shard("0/4294967298"), std::runtime_error);
 }
 
 TEST(CampaignShard, PartitionIsDisjointCoveringAndBalanced) {

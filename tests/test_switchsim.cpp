@@ -2,19 +2,25 @@
 // gate-level simulator, bridge arbitration, stuck-open charge retention,
 // floating gates, and the incremental fault simulator - including its
 // differential against brute-force step_faulty re-simulation on the
-// extracted fault lists of the flow, and its metamorphic invariances.
+// extracted fault lists of the flow, and its metamorphic invariances - plus
+// the compiled CCC tables and the levelized fault-free trace against the
+// solver and step().
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <random>
+#include <utility>
 
+#include "cell/library.h"
 #include "flow/experiment.h"
 #include "gatesim/logic_sim.h"
 #include "gatesim/patterns.h"
 #include "netlist/builders.h"
 #include "netlist/techmap.h"
+#include "obs/telemetry.h"
 #include "switchsim/switch_fault_sim.h"
 
 namespace dlp::switchsim {
@@ -618,12 +624,12 @@ TEST_F(FeedbackBridge, CapHitsAreReportedNotSilent) {
     EXPECT_EQ(settled.cap_hits(), 0);
 }
 
-TEST(FaultFreeCycle, MatchesReference) {
-    // A hand-built cross-coupled NAND latch: its two components read each
-    // other, so the fault-free CCC graph itself has a cycle.  The reference
-    // restarts every vector from X; the incremental simulator must agree.
+/// A hand-built cross-coupled NAND latch: its two components read each
+/// other, so the fault-free CCC graph itself has a cycle.
+enum : NodeId { kS = 2, kR = 3, kQ = 4, kQb = 5, kN1 = 6, kN2 = 7 };
+
+SwitchNetlist latch_netlist() {
     SwitchNetlist net;
-    enum : NodeId { kS = 2, kR = 3, kQ = 4, kQb = 5, kN1 = 6, kN2 = 7 };
     net.node_count = 8;
     net.input_nodes = {kS, kR};
     net.output_nodes = {kQ, kQb};
@@ -635,6 +641,23 @@ TEST(FaultFreeCycle, MatchesReference) {
     };
     nand(kQ, kS, kQb, kN1);
     nand(kQb, kR, kQ, kN2);
+    return net;
+}
+
+std::vector<Vector> latch_vectors() {
+    std::mt19937 rng(11);
+    std::vector<Vector> vv;
+    for (int k = 0; k < 48; ++k) {
+        const unsigned x = rng() % 4u;
+        vv.push_back({(x & 1u) != 0, (x & 2u) != 0});
+    }
+    return vv;
+}
+
+TEST(FaultFreeCycle, MatchesReference) {
+    // The reference restarts every vector from X; the incremental simulator
+    // must agree.
+    const SwitchNetlist net = latch_netlist();
     const SwitchSim sim(net);
 
     std::vector<WeightedFault> faults;
@@ -654,13 +677,144 @@ TEST(FaultFreeCycle, MatchesReference) {
         br.name = "bridge" + std::to_string(x) + "_" + std::to_string(y);
         faults.push_back(br);
     }
-    std::mt19937 rng(11);
-    std::vector<Vector> vv;
-    for (int k = 0; k < 48; ++k) {
-        const unsigned x = rng() % 4u;
-        vv.push_back({(x & 1u) != 0, (x & 2u) != 0});
+    expect_matches_reference(sim, faults, latch_vectors());
+}
+
+// ---- compiled tables and the levelized fault-free trace --------------------
+
+/// Every compiled table of `sim` equals a direct fault-free solve_component
+/// on every gate assignment.  The first component of each table is swept
+/// over every mixed previous-value combination of its nodes (3^nodes), which
+/// pins the per-node independence the tables rely on; later components of
+/// the same table, over the uniform ones.  Returns the tabulated count.
+int expect_tables_exact(const SwitchSim& sim) {
+    std::vector<char> swept(sim.table_count(), 0);
+    auto state = sim.initial_state();
+    auto prev = sim.initial_state();
+    int tabulated = 0;
+    for (std::int32_t c = 0; c < sim.component_count(); ++c) {
+        const std::int32_t table = sim.table_of(c);
+        if (table < 0) continue;
+        ++tabulated;
+        const auto gates = sim.table_gates(c);
+        const auto nodes = sim.component_nodes(c);
+        const bool mixed = !std::exchange(swept[static_cast<size_t>(table)], 1);
+        int rows = 1;
+        for (size_t i = 0; i < gates.size(); ++i) rows *= 3;
+        int prevs = 3;
+        for (size_t i = 1; mixed && i < nodes.size(); ++i) prevs *= 3;
+        for (int r = 0; r < rows; ++r) {
+            int d = r;
+            for (NodeId g : gates) {
+                state[static_cast<size_t>(g)] = static_cast<SV>(d % 3);
+                d /= 3;
+            }
+            for (int p = 0; p < prevs; ++p) {
+                int e = p;
+                for (NodeId v : nodes) {
+                    prev[static_cast<size_t>(v)] =
+                        static_cast<SV>(mixed ? e % 3 : p);
+                    e /= 3;
+                }
+                auto solved = state;
+                const std::int32_t one = c;
+                sim.solve_component(solved, prev, std::span(&one, 1), {});
+                auto looked = state;
+                sim.lookup_component(looked, prev, c);
+                for (NodeId v : nodes)
+                    if (looked[static_cast<size_t>(v)] !=
+                        solved[static_cast<size_t>(v)]) {
+                        ADD_FAILURE() << "component " << c << " table "
+                                      << table << " row " << r << " prev "
+                                      << p << " node " << v;
+                        return tabulated;
+                    }
+            }
+        }
     }
-    expect_matches_reference(sim, faults, vv);
+    return tabulated;
+}
+
+TEST(CompiledTables, EveryEntryEqualsTheSolver) {
+    // One instance of each library cell: every CCC of the library is
+    // eligible and gets a table.
+    for (const cell::Cell& lib : cell::standard_library()) {
+        SCOPED_TRACE(lib.name);
+        Circuit c(lib.name);
+        std::vector<netlist::NetId> ins;
+        for (int i = 0; i < lib.arity; ++i)
+            ins.push_back(c.add_input("i" + std::to_string(i)));
+        c.mark_output(c.add_gate(lib.function, "y", ins));
+        const SwitchNetlist net = build_switch_netlist(c);
+        ASSERT_EQ(net.cells[0], &lib);
+        const SwitchSim sim(net);
+        EXPECT_EQ(expect_tables_exact(sim), sim.component_count());
+    }
+    for (const Circuit& raw : {netlist::build_c17(), netlist::build_c432()}) {
+        SCOPED_TRACE(raw.name());
+        const Circuit mapped = netlist::techmap(raw);
+        const SwitchNetlist net = build_switch_netlist(mapped);
+        const SwitchSim sim(net);
+        EXPECT_EQ(expect_tables_exact(sim), sim.component_count());
+        // Instances share their cell's tables.
+        EXPECT_LE(sim.table_count(), 2 * cell::standard_library().size());
+    }
+}
+
+TEST(CompiledTables, SelfGatedComponentsKeepTheSolver) {
+    // A keeper: the output inverter's node gates a transistor of its own
+    // component, so the table's inputs would not be independent of it.
+    SwitchNetlist net;
+    enum : NodeId { kA = 2, kY = 3 };
+    net.node_count = 4;
+    net.input_nodes = {kA};
+    net.output_nodes = {kY};
+    net.transistors.push_back({true, kA, SwitchNetlist::kVdd, kY});
+    net.transistors.push_back({false, kA, kY, SwitchNetlist::kGnd});
+    net.transistors.push_back({true, kY, SwitchNetlist::kVdd, kY});
+    const SwitchSim sim(net);
+    ASSERT_EQ(sim.component_count(), 1);
+    EXPECT_EQ(sim.table_of(0), -1);
+    EXPECT_TRUE(sim.in_cyclic_tail(0));
+}
+
+/// settle() equals the reference step() state for state on every vector.
+void expect_settle_matches_step(const SwitchSim& sim,
+                                const std::vector<Vector>& vectors) {
+    auto ref = sim.initial_state();
+    auto cur = sim.initial_state();
+    SwitchSim::State next;
+    for (size_t k = 0; k < vectors.size(); ++k) {
+        std::unique_ptr<bool[]> b(new bool[vectors[k].size()]);
+        std::copy(vectors[k].begin(), vectors[k].end(), b.get());
+        const std::span<const bool> in(b.get(), vectors[k].size());
+        sim.step(ref, in);
+        sim.settle(next, cur, in);
+        std::swap(cur, next);
+        ASSERT_EQ(cur, ref) << "vector " << k;
+    }
+}
+
+TEST(LevelizedTrace, EqualsReferenceStep) {
+    for (const auto& [raw, n] : std::vector<std::pair<Circuit, int>>{
+             {netlist::build_c17(), 64},
+             {netlist::build_ripple_adder(4), 64},
+             {netlist::build_c432(), 256}}) {
+        SCOPED_TRACE(raw.name());
+        const Circuit mapped = netlist::techmap(raw);
+        const SwitchNetlist net = build_switch_netlist(mapped);
+        const SwitchSim sim(net);
+        std::vector<Vector> vectors;
+        for (const auto& v : random_vectors(mapped, n, 41))
+            vectors.push_back(unpack(v));
+        expect_settle_matches_step(sim, vectors);
+    }
+    // The latch's two components form the cyclic tail, swept from X.
+    const SwitchNetlist latch = latch_netlist();
+    const SwitchSim sim(latch);
+    EXPECT_TRUE(sim.in_cyclic_tail(0));
+    EXPECT_TRUE(sim.in_cyclic_tail(1));
+    expect_settle_matches_step(sim, latch_vectors());
 }
 
 // ---- metamorphic invariances ---------------------------------------------
@@ -791,8 +945,25 @@ TEST(ParallelDeterminism, ThreadCountInvariant) {
     std::vector<Vector> vv;
     for (const auto& v : rng.vectors(c, 48)) vv.push_back(unpack(v));
 
+    // The table and solver counters are summed per fault-vector, so they
+    // too are independent of the worker count.
+    obs::set_enabled(true);
+    const auto counters = [] {
+        std::map<std::string, long long> out;
+        for (const auto& [name, value] : obs::counters_snapshot())
+            if (name == "faultsim.switch.table_hits" ||
+                name == "faultsim.switch.good_solves" ||
+                name == "faultsim.switch.solves")
+                out[name] = value;
+        return out;
+    };
+    obs::reset();
     SwitchFaultSimulator serial(sim, faults, parallel::ParallelOptions{1});
     serial.apply(vv);
+    const auto serial_counters = counters();
+#if DLPROJ_OBS_ENABLED
+    EXPECT_GT(serial_counters.at("faultsim.switch.table_hits"), 0);
+#endif
     const std::vector<int> serial_det(serial.first_detected_at().begin(),
                                       serial.first_detected_at().end());
     const std::vector<int> serial_iddq(serial.iddq_detected_at().begin(),
@@ -800,6 +971,7 @@ TEST(ParallelDeterminism, ThreadCountInvariant) {
 
     for (int threads : {2, 4, 8}) {
         SCOPED_TRACE(threads);
+        obs::reset();
         SwitchFaultSimulator par(sim, faults,
                                  parallel::ParallelOptions{threads});
         // Split the sequence to also exercise multi-call state carry-over.
@@ -817,7 +989,10 @@ TEST(ParallelDeterminism, ThreadCountInvariant) {
                   serial.unweighted_coverage_curve());
         EXPECT_EQ(par.weighted_coverage_curve_with_iddq(),
                   serial.weighted_coverage_curve_with_iddq());
+        EXPECT_EQ(counters(), serial_counters);
     }
+    obs::set_enabled(false);
+    obs::reset();
 }
 
 TEST(SwitchFaultSimulator, ProgressReportsBatches) {
