@@ -6,6 +6,7 @@
 #include "analysis/untestable.h"
 #include "model/defect_stats_model.h"
 #include "model/dl_models.h"
+#include "support/parse.h"
 
 namespace dlp::campaign {
 
@@ -47,7 +48,7 @@ const std::vector<GridAxis>& grid_axes() {
          .stage = Stage::Tests, .json = Json::Number,
          .group = "ndetect_quality",
          .canonical = [](const std::string& v) {
-             const long long n = parse_int(v);
+             const long long n = support::parse_int(v);
              if (n < 1 || n > 64)
                  throw std::runtime_error(
                      "ndetect target out of range [1, 64]: '" + v + "'");

@@ -10,6 +10,7 @@
 #include "extract/rules_parser.h"
 #include "netlist/bench_parser.h"
 #include "netlist/builders.h"
+#include "support/parse.h"
 
 namespace dlp::campaign {
 
@@ -70,7 +71,7 @@ void set_key(CampaignSpec& spec, const std::string& section,
         else if (key == "target_yield")
             spec.target_yield = parse_double(value);
         else if (key == "max_vectors")
-            spec.max_vectors = parse_int(value);
+            spec.max_vectors = support::parse_int(value);
         else if (key == "weighted")
             spec.weighted = parse_bool(value);
         else if (key == "lint")
@@ -85,7 +86,7 @@ void set_key(CampaignSpec& spec, const std::string& section,
         else if (key == "seeds") {
             spec.seeds.clear();
             for (const std::string& v : grid_list(key, value)) {
-                const long long seed = parse_int(v);
+                const long long seed = support::parse_int(v);
                 if (seed < 0) reject("negative seed '" + v + "'");
                 spec.seeds.push_back(static_cast<std::uint64_t>(seed));
             }
@@ -96,13 +97,13 @@ void set_key(CampaignSpec& spec, const std::string& section,
     } else if (section.rfind("atpg.", 0) == 0) {
         atpg::TestGenOptions& o = spec.atpg.back().options;
         if (key == "random_block")
-            o.random_block = static_cast<int>(parse_int(value));
+            o.random_block = static_cast<int>(support::parse_int(value));
         else if (key == "max_random")
-            o.max_random = static_cast<int>(parse_int(value));
+            o.max_random = static_cast<int>(support::parse_int(value));
         else if (key == "stale_blocks")
-            o.stale_blocks = static_cast<int>(parse_int(value));
+            o.stale_blocks = static_cast<int>(support::parse_int(value));
         else if (key == "backtrack_limit")
-            o.backtrack_limit = static_cast<int>(parse_int(value));
+            o.backtrack_limit = static_cast<int>(support::parse_int(value));
         else if (key == "ndetect_mix") {
             try {
                 o.ndetect_mix = atpg::parse_ndetect_mix(value);
@@ -131,19 +132,6 @@ int int_suffix(const std::string& name, const char* prefix) {
 }
 
 }  // namespace
-
-long long parse_int(const std::string& v) {
-    try {
-        size_t pos = 0;
-        const long long n = std::stoll(v, &pos);
-        if (pos != v.size()) reject("trailing junk in integer '" + v + "'");
-        return n;
-    } catch (const std::runtime_error&) {
-        throw;
-    } catch (const std::exception&) {
-        reject("expected an integer, got '" + v + "'");
-    }
-}
 
 bool parse_bool(const std::string& v) {
     if (v == "true" || v == "on" || v == "1") return true;
@@ -319,8 +307,8 @@ Shard parse_shard(const std::string& text) {
     long long index = 0;
     long long count = 0;
     try {
-        index = parse_int(text.substr(0, slash));
-        count = parse_int(text.substr(slash + 1));
+        index = support::parse_int(text.substr(0, slash));
+        count = support::parse_int(text.substr(slash + 1));
     } catch (const std::runtime_error&) {
         throw std::runtime_error("shard must be of the form i/n: " + text);
     }

@@ -148,10 +148,8 @@ void set_grid_axis(CampaignSpec& spec, const std::string& key,
 /// classic); reports and --list add columns only for these.
 std::vector<std::size_t> swept_axes(const CampaignSpec& spec);
 
-/// The spec's checked scalar parsers: the whole string must be one
-/// integer, or one of true/false/on/off/1/0.  They throw
-/// std::runtime_error without a location.
-long long parse_int(const std::string& v);
+/// The spec's checked boolean parser: the whole string must be one of
+/// true/false/on/off/1/0.  Throws std::runtime_error without a location.
 bool parse_bool(const std::string& v);
 
 /// Loads a spec file from disk.

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "support/parse.h"
+
 namespace dlp::extract {
 
 namespace {
@@ -21,7 +23,7 @@ std::optional<cell::Layer> layer_by_name(const std::string& name) {
 }
 
 [[noreturn]] void fail(int line, const std::string& what) {
-    throw std::runtime_error("rules:" + std::to_string(line) + ": " + what);
+    throw support::ParseError("rules", line, what);
 }
 
 }  // namespace

@@ -29,8 +29,9 @@
 
 namespace dlp::extract {
 
-/// Parses rules text; throws std::runtime_error with a line number on
-/// malformed input.  Unmentioned densities stay zero.
+/// Parses rules text; throws support::ParseError ("rules:<line>: ...", a
+/// std::runtime_error) on malformed input.  Unmentioned densities stay
+/// zero.
 DefectStatistics parse_defect_rules(const std::string& text);
 
 /// Loads rules from a file.

@@ -387,11 +387,9 @@ support::ApplyResult LevelizedFaultSimulator::apply(
     result.vectors_applied = static_cast<int>(completed);
     DLP_OBS_ADD(c_dropped, newly_detected);
     DLP_OBS_SET(g_remaining, static_cast<double>(still_undetected));
-#if DLPROJ_OBS_ENABLED
     if (result.stop != support::StopReason::None)
         DLP_OBS_ANNOTATE("stopped: " +
                          std::string(support::stop_reason_name(result.stop)));
-#endif
     return result;
 }
 

@@ -1,43 +1,20 @@
 #include "lint/checks.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <tuple>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "atpg/scoap.h"
+#include "netlist/bench_parser.h"
 #include "support/env.h"
 
 namespace dlp::lint {
 
 namespace {
-
-std::string trim(const std::string& s) {
-    size_t a = 0;
-    size_t b = s.size();
-    while (a < b && std::isspace(static_cast<unsigned char>(s[a]))) ++a;
-    while (b > a && std::isspace(static_cast<unsigned char>(s[b - 1]))) --b;
-    return s.substr(a, b - a);
-}
-
-std::string upper(std::string s) {
-    for (char& c : s)
-        c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-    return s;
-}
-
-bool known_gate_type(const std::string& u) {
-    return u == "BUF" || u == "BUFF" || u == "NOT" || u == "INV" ||
-           u == "AND" || u == "NAND" || u == "OR" || u == "NOR" ||
-           u == "XOR" || u == "XNOR";
-}
 
 std::string fmt_double(double v) {
     std::ostringstream out;
@@ -48,208 +25,25 @@ std::string fmt_double(double v) {
 
 }  // namespace
 
-void lint_bench_text(const std::string& text, const std::string& file,
-                     DiagnosticEngine& engine) {
-    struct RawGate {
-        std::string out;
-        std::vector<std::string> fanin;
-        int line = 0;
-    };
-    std::vector<std::pair<std::string, int>> inputs;
-    std::vector<std::pair<std::string, int>> outputs;
-    std::vector<RawGate> gates;
-
-    const auto syntax = [&](int line, const std::string& what) {
-        engine.report(Severity::Error, "bench-syntax", what, {file, line});
-    };
-
-    // Lenient line scan: a malformed line is reported and skipped, so one
-    // bad line does not hide findings further down (unlike the strict
-    // parser, which throws at the first).
-    std::istringstream in(text);
-    std::string line_text;
-    int line_no = 0;
-    while (std::getline(in, line_text)) {
-        ++line_no;
-        const size_t hash = line_text.find('#');
-        if (hash != std::string::npos) line_text.erase(hash);
-        const std::string line = trim(line_text);
-        if (line.empty()) continue;
-
-        const size_t eq = line.find('=');
-        if (eq == std::string::npos) {
-            const size_t lp = line.find('(');
-            const size_t rp = line.rfind(')');
-            if (lp == std::string::npos || rp == std::string::npos ||
-                rp < lp) {
-                syntax(line_no, "expected INPUT(...) or OUTPUT(...)");
-                continue;
-            }
-            const std::string kw = upper(trim(line.substr(0, lp)));
-            const std::string arg = trim(line.substr(lp + 1, rp - lp - 1));
-            if (arg.empty()) {
-                syntax(line_no, "empty net name");
-                continue;
-            }
-            if (kw == "INPUT")
-                inputs.emplace_back(arg, line_no);
-            else if (kw == "OUTPUT")
-                outputs.emplace_back(arg, line_no);
-            else
-                syntax(line_no, "unknown directive '" + kw + "'");
-            continue;
+std::optional<netlist::Circuit> lint_bench_text(const std::string& text,
+                                                const std::string& file,
+                                                DiagnosticEngine& engine) {
+    using Kind = netlist::BenchFindingKind;
+    const netlist::BenchScan scan = netlist::scan_bench(text);
+    for (const netlist::BenchFinding& f : scan.findings) {
+        const char* check = "bench-syntax";
+        switch (f.kind) {
+            case Kind::Syntax: break;
+            case Kind::MultiDriven: check = "net-multi-driven"; break;
+            case Kind::OutputConflict: check = "output-conflict"; break;
+            case Kind::Undriven: check = "net-undriven"; break;
+            case Kind::Cycle: check = "comb-cycle"; break;
         }
-
-        RawGate g;
-        g.line = line_no;
-        g.out = trim(line.substr(0, eq));
-        const std::string rhs = trim(line.substr(eq + 1));
-        const size_t lp = rhs.find('(');
-        const size_t rp = rhs.rfind(')');
-        if (g.out.empty() || lp == std::string::npos ||
-            rp == std::string::npos || rp < lp) {
-            syntax(line_no, "expected '<net> = TYPE(a, b, ...)'");
-            continue;
-        }
-        const std::string type = upper(trim(rhs.substr(0, lp)));
-        if (!known_gate_type(type)) {
-            syntax(line_no, "unknown gate type '" + trim(rhs.substr(0, lp)) +
-                            "'");
-            continue;
-        }
-        std::string args = rhs.substr(lp + 1, rp - lp - 1);
-        std::string token;
-        std::istringstream as(args);
-        bool bad = false;
-        while (std::getline(as, token, ',')) {
-            token = trim(token);
-            if (token.empty()) {
-                syntax(line_no, "empty fanin name");
-                bad = true;
-                break;
-            }
-            g.fanin.push_back(token);
-        }
-        if (bad) continue;
-        if (g.fanin.empty()) {
-            syntax(line_no, "gate with no fanin");
-            continue;
-        }
-        gates.push_back(std::move(g));
+        engine.report(Severity::Error, check, f.message, {file, f.line},
+                      f.object);
     }
-
-    // Drivers: every INPUT declaration and every gate output.  A second
-    // driver of either kind is a conflict.
-    std::unordered_map<std::string, int> driver_line;
-    for (const auto& [name, line] : inputs) {
-        const auto [it, inserted] = driver_line.emplace(name, line);
-        if (!inserted)
-            engine.report(Severity::Error, "net-multi-driven",
-                          "net '" + name + "' declared INPUT twice (first at "
-                          "line " + std::to_string(it->second) + ")",
-                          {file, line}, name);
-    }
-    for (const RawGate& g : gates) {
-        const auto [it, inserted] = driver_line.emplace(g.out, g.line);
-        if (!inserted)
-            engine.report(Severity::Error, "net-multi-driven",
-                          "net '" + g.out + "' driven more than once (first "
-                          "driver at line " + std::to_string(it->second) +
-                          ")",
-                          {file, g.line}, g.out);
-    }
-
-    // OUTPUT declarations: duplicates and INPUT/OUTPUT feedthroughs.
-    {
-        std::unordered_map<std::string, int> input_line(inputs.begin(),
-                                                        inputs.end());
-        std::unordered_map<std::string, int> out_line;
-        for (const auto& [name, line] : outputs) {
-            const auto [it, inserted] = out_line.emplace(name, line);
-            if (!inserted) {
-                engine.report(Severity::Error, "output-conflict",
-                              "duplicate OUTPUT(" + name + ") (first at "
-                              "line " + std::to_string(it->second) + ")",
-                              {file, line}, name);
-                continue;
-            }
-            if (const auto in_it = input_line.find(name);
-                in_it != input_line.end())
-                engine.report(Severity::Error, "output-conflict",
-                              "net '" + name + "' declared both INPUT (line " +
-                              std::to_string(in_it->second) +
-                              ") and OUTPUT; feedthrough outputs carry no "
-                              "logic and break the physical flow",
-                              {file, line}, name);
-        }
-    }
-
-    // Undriven references (one finding per net name).
-    std::unordered_set<std::string> reported_undriven;
-    for (const RawGate& g : gates)
-        for (const std::string& f : g.fanin)
-            if (!driver_line.count(f) && reported_undriven.insert(f).second)
-                engine.report(Severity::Error, "net-undriven",
-                              "net '" + f + "' read by '" + g.out +
-                              "' has no driver (not a gate output or INPUT)",
-                              {file, g.line}, f);
-    for (const auto& [name, line] : outputs)
-        if (!driver_line.count(name) &&
-            reported_undriven.insert(name).second)
-            engine.report(Severity::Error, "net-undriven",
-                          "OUTPUT(" + name + ") has no driver",
-                          {file, line}, name);
-
-    // Combinational cycles: iterative DFS over the gate dependency graph
-    // (edge gate -> fanin gate).  Each back edge reports one cycle with its
-    // full path; cross/forward edges into finished nodes are skipped.
-    std::unordered_map<std::string, size_t> gate_index;
-    for (size_t i = 0; i < gates.size(); ++i)
-        gate_index.emplace(gates[i].out, i);
-    enum : std::uint8_t { kWhite, kGray, kBlack };
-    std::vector<std::uint8_t> color(gates.size(), kWhite);
-    struct Frame {
-        size_t gate;
-        size_t next_fanin;
-    };
-    for (size_t root = 0; root < gates.size(); ++root) {
-        if (color[root] != kWhite) continue;
-        std::vector<Frame> stack{{root, 0}};
-        std::vector<size_t> path{root};
-        color[root] = kGray;
-        while (!stack.empty()) {
-            Frame& top = stack.back();
-            if (top.next_fanin >= gates[top.gate].fanin.size()) {
-                color[top.gate] = kBlack;
-                stack.pop_back();
-                path.pop_back();
-                continue;
-            }
-            const std::string& fname = gates[top.gate].fanin[top.next_fanin++];
-            const auto it = gate_index.find(fname);
-            if (it == gate_index.end()) continue;  // INPUT or undriven
-            const size_t next = it->second;
-            if (color[next] == kWhite) {
-                color[next] = kGray;
-                stack.push_back({next, 0});
-                path.push_back(next);
-            } else if (color[next] == kGray) {
-                // Back edge: the cycle is the path suffix starting at next.
-                const auto start =
-                    std::find(path.begin(), path.end(), next);
-                std::string cyc;
-                for (auto p = start; p != path.end(); ++p) {
-                    if (!cyc.empty()) cyc += " -> ";
-                    cyc += gates[*p].out;
-                }
-                cyc += " -> " + gates[next].out;
-                engine.report(Severity::Error, "comb-cycle",
-                              "combinational cycle: " + cyc,
-                              {file, gates[top.gate].line},
-                              gates[next].out);
-            }
-        }
-    }
+    if (!scan.findings.empty()) return std::nullopt;
+    return netlist::parse_bench(scan, file);
 }
 
 void lint_circuit(const netlist::Circuit& circuit, DiagnosticEngine& engine,

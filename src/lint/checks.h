@@ -7,9 +7,10 @@
 // diagnostic instead of producing a wrong curve after hours of simulation.
 //
 // Four sweeps, one per artifact kind:
-//   * lint_bench_text: a lenient scan of raw `.bench` source (the strict
-//     parser stops at the first problem; the linter keeps going and
-//     reports every finding with its line).
+//   * lint_bench_text: every finding of netlist::scan_bench, the one
+//     `.bench` reader (the strict parser throws the first of the same
+//     findings), each with its line; a clean text yields the circuit the
+//     other sweeps take.
 //   * lint_circuit: reachability/observability over the in-memory Circuit,
 //     reusing the SCOAP measures from src/atpg/scoap.h — a net with
 //     infinite observability bounds the attainable coverage structurally.
@@ -24,6 +25,7 @@
 // in docs/LINT.md.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -45,11 +47,15 @@ struct LintOptions {
     int max_fanin = 10;
 };
 
-/// Lenient scan of `.bench` source text: net-undriven, net-multi-driven,
-/// comb-cycle (iterative DFS over the name graph), output-conflict,
-/// bench-syntax.  `file` is used for diagnostic locations only.
-void lint_bench_text(const std::string& text, const std::string& file,
-                     DiagnosticEngine& engine);
+/// Reports every netlist::scan_bench finding of `.bench` source text as an
+/// error under its check id: bench-syntax (malformed line, unknown gate
+/// type, bad arity), net-multi-driven, output-conflict, net-undriven and
+/// comb-cycle.  `file` tags the locations and names the circuit.  Returns
+/// the parsed circuit when the scan found nothing (a suppressed finding
+/// still stops the cascade), else nullopt.
+std::optional<netlist::Circuit> lint_bench_text(const std::string& text,
+                                                const std::string& file,
+                                                DiagnosticEngine& engine);
 
 /// Structural checks over an in-memory circuit: output-dangling (error),
 /// gate-unreachable, fanin-excessive.  Uses SCOAP observability for the

@@ -1,22 +1,19 @@
 #include "netlist/bench_parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "support/parse.h"
+
 namespace dlp::netlist {
 
 namespace {
-
-struct RawGate {
-    std::string out;
-    std::string type;
-    std::vector<std::string> fanin;
-    int line = 0;
-};
 
 std::string trim(const std::string& s) {
     size_t a = 0;
@@ -27,15 +24,12 @@ std::string trim(const std::string& s) {
 }
 
 std::string upper(std::string s) {
-    for (char& c : s) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    for (char& c : s)
+        c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
     return s;
 }
 
-[[noreturn]] void fail(int line, const std::string& what) {
-    throw std::runtime_error("bench:" + std::to_string(line) + ": " + what);
-}
-
-GateType type_from_string(const std::string& t, int line) {
+std::optional<GateType> type_from_string(const std::string& t) {
     const std::string u = upper(t);
     if (u == "BUF" || u == "BUFF") return GateType::Buf;
     if (u == "NOT" || u == "INV") return GateType::Not;
@@ -45,19 +39,63 @@ GateType type_from_string(const std::string& t, int line) {
     if (u == "NOR") return GateType::Nor;
     if (u == "XOR") return GateType::Xor;
     if (u == "XNOR") return GateType::Xnor;
-    fail(line, "unknown gate type '" + t + "'");
+    return std::nullopt;
+}
+
+/// Tokenizes one comment-stripped, trimmed, non-empty line into `scan`;
+/// returns the syntax error, or "" when the line was taken.
+std::string read_line(const std::string& line, int line_no, BenchScan& scan) {
+    const size_t eq = line.find('=');
+    if (eq == std::string::npos) {
+        // INPUT(x) / OUTPUT(x)
+        const size_t lp = line.find('(');
+        const size_t rp = line.rfind(')');
+        if (lp == std::string::npos || rp == std::string::npos || rp < lp)
+            return "expected INPUT(...) or OUTPUT(...)";
+        const std::string kw = upper(trim(line.substr(0, lp)));
+        std::string arg = trim(line.substr(lp + 1, rp - lp - 1));
+        if (arg.empty()) return "empty net name";
+        if (kw == "INPUT")
+            scan.inputs.push_back({std::move(arg), line_no});
+        else if (kw == "OUTPUT")
+            scan.outputs.push_back({std::move(arg), line_no});
+        else
+            return "unknown directive '" + kw + "'";
+        return "";
+    }
+
+    BenchGate g;
+    g.line = line_no;
+    g.out = trim(line.substr(0, eq));
+    const std::string rhs = trim(line.substr(eq + 1));
+    const size_t lp = rhs.find('(');
+    const size_t rp = rhs.rfind(')');
+    if (g.out.empty() || lp == std::string::npos || rp == std::string::npos ||
+        rp < lp)
+        return "expected '<net> = TYPE(a, b, ...)'";
+    const std::string type = trim(rhs.substr(0, lp));
+    const std::optional<GateType> t = type_from_string(type);
+    if (!t) return "unknown gate type '" + type + "'";
+    g.type = *t;
+    std::istringstream as(rhs.substr(lp + 1, rp - lp - 1));
+    std::string token;
+    while (std::getline(as, token, ',')) {
+        token = trim(token);
+        if (token.empty()) return "empty fanin name";
+        g.fanin.push_back(token);
+    }
+    scan.gates.push_back(std::move(g));
+    return "";
 }
 
 }  // namespace
 
-Circuit parse_bench(const std::string& text, std::string circuit_name) {
-    struct Decl {
-        std::string name;
-        int line;
+BenchScan scan_bench(const std::string& text) {
+    BenchScan scan;
+    const auto report = [&](BenchFindingKind kind, int line,
+                            const std::string& object, std::string message) {
+        scan.findings.push_back({kind, line, object, std::move(message)});
     };
-    std::vector<Decl> input_names;
-    std::vector<Decl> output_names;
-    std::vector<RawGate> raw;
 
     std::istringstream in(text);
     std::string line_text;
@@ -68,76 +106,133 @@ Circuit parse_bench(const std::string& text, std::string circuit_name) {
         if (hash != std::string::npos) line_text.erase(hash);
         const std::string line = trim(line_text);
         if (line.empty()) continue;
-
-        const size_t eq = line.find('=');
-        if (eq == std::string::npos) {
-            // INPUT(x) / OUTPUT(x)
-            const size_t lp = line.find('(');
-            const size_t rp = line.rfind(')');
-            if (lp == std::string::npos || rp == std::string::npos || rp < lp)
-                fail(line_no, "expected INPUT(...) or OUTPUT(...)");
-            const std::string kw = upper(trim(line.substr(0, lp)));
-            const std::string arg = trim(line.substr(lp + 1, rp - lp - 1));
-            if (arg.empty()) fail(line_no, "empty net name");
-            if (kw == "INPUT")
-                input_names.push_back({arg, line_no});
-            else if (kw == "OUTPUT")
-                output_names.push_back({arg, line_no});
-            else
-                fail(line_no, "unknown directive '" + kw + "'");
-            continue;
-        }
-
-        RawGate g;
-        g.line = line_no;
-        g.out = trim(line.substr(0, eq));
-        const std::string rhs = trim(line.substr(eq + 1));
-        const size_t lp = rhs.find('(');
-        const size_t rp = rhs.rfind(')');
-        if (g.out.empty() || lp == std::string::npos ||
-            rp == std::string::npos || rp < lp)
-            fail(line_no, "expected '<net> = TYPE(a, b, ...)'");
-        g.type = trim(rhs.substr(0, lp));
-        std::string args = rhs.substr(lp + 1, rp - lp - 1);
-        std::string token;
-        std::istringstream as(args);
-        while (std::getline(as, token, ',')) {
-            token = trim(token);
-            if (token.empty()) fail(line_no, "empty fanin name");
-            g.fanin.push_back(token);
-        }
-        if (g.fanin.empty()) fail(line_no, "gate with no fanin");
-        raw.push_back(std::move(g));
+        if (std::string bad = read_line(line, line_no, scan); !bad.empty())
+            report(BenchFindingKind::Syntax, line_no, "", std::move(bad));
     }
+    // Gate arity, by the rule Circuit::add_gate applies.  The gate still
+    // drives its net, so its readers are not reported undriven.
+    for (const BenchGate& g : scan.gates)
+        if (const char* bad = arity_error(g.type, g.fanin.size()))
+            report(BenchFindingKind::Syntax, g.line, g.out,
+                   std::string(bad) + " ('" + g.out + "' has " +
+                       std::to_string(g.fanin.size()) + ")");
 
-    // Duplicate drivers are rejected up front so the diagnostic carries the
-    // offending line even when the duplicates also sit on a cycle.
+    // Drivers: every INPUT declaration, then every gate output.
     std::unordered_map<std::string, int> driver_line;
-    for (const RawGate& g : raw) {
+    for (const auto& [name, line] : scan.inputs) {
+        const auto [it, inserted] = driver_line.emplace(name, line);
+        if (!inserted)
+            report(BenchFindingKind::MultiDriven, line, name,
+                   "duplicate INPUT(" + name + ") (first at line " +
+                       std::to_string(it->second) + ")");
+    }
+    const std::unordered_map<std::string, int> input_line = driver_line;
+    for (const BenchGate& g : scan.gates) {
         const auto [it, inserted] = driver_line.emplace(g.out, g.line);
         if (!inserted)
-            fail(g.line, "net '" + g.out + "' driven twice (first driver at "
-                         "line " + std::to_string(it->second) + ")");
+            report(BenchFindingKind::MultiDriven, g.line, g.out,
+                   "net '" + g.out + "' driven twice (first driver at line " +
+                       std::to_string(it->second) + ")");
     }
 
-    // Topological emission (forward references are legal in .bench).
+    // OUTPUT declarations: duplicates and INPUT/OUTPUT feedthroughs.
+    std::unordered_map<std::string, int> output_line;
+    for (const auto& [name, line] : scan.outputs) {
+        const auto [it, inserted] = output_line.emplace(name, line);
+        if (!inserted)
+            report(BenchFindingKind::OutputConflict, line, name,
+                   "duplicate OUTPUT(" + name + ") (first at line " +
+                       std::to_string(it->second) + ")");
+        else if (const auto in = input_line.find(name); in != input_line.end())
+            report(BenchFindingKind::OutputConflict, line, name,
+                   "net '" + name + "' declared both INPUT (line " +
+                       std::to_string(in->second) +
+                       ") and OUTPUT; feedthrough outputs carry no logic and "
+                       "break the physical flow");
+    }
+
+    // Undriven references, one finding per net name.
+    std::unordered_set<std::string> undriven;
+    for (const BenchGate& g : scan.gates)
+        for (const std::string& f : g.fanin)
+            if (!driver_line.count(f) && undriven.insert(f).second)
+                report(BenchFindingKind::Undriven, g.line, f,
+                       "undefined net '" + f + "' in fanin of '" + g.out +
+                           "'");
+    for (const auto& [name, line] : scan.outputs)
+        if (!driver_line.count(name) && undriven.insert(name).second)
+            report(BenchFindingKind::Undriven, line, name,
+                   "OUTPUT(" + name + ") never driven");
+
+    // Combinational cycles: iterative DFS over the gate dependency graph
+    // (edge gate -> fanin gate).  Each back edge reports one cycle with its
+    // full path; cross/forward edges into finished nodes are skipped.
+    const std::vector<BenchGate>& gates = scan.gates;
+    std::unordered_map<std::string, size_t> gate_index;
+    for (size_t i = 0; i < gates.size(); ++i)
+        gate_index.emplace(gates[i].out, i);
+    enum : std::uint8_t { kWhite, kGray, kBlack };
+    std::vector<std::uint8_t> color(gates.size(), kWhite);
+    struct Frame {
+        size_t gate;
+        size_t next_fanin;
+    };
+    for (size_t root = 0; root < gates.size(); ++root) {
+        if (color[root] != kWhite) continue;
+        std::vector<Frame> stack{{root, 0}};
+        std::vector<size_t> path{root};
+        color[root] = kGray;
+        while (!stack.empty()) {
+            Frame& top = stack.back();
+            if (top.next_fanin >= gates[top.gate].fanin.size()) {
+                color[top.gate] = kBlack;
+                stack.pop_back();
+                path.pop_back();
+                continue;
+            }
+            const std::string& fname = gates[top.gate].fanin[top.next_fanin++];
+            const auto it = gate_index.find(fname);
+            if (it == gate_index.end()) continue;  // INPUT or undriven
+            const size_t next = it->second;
+            if (color[next] == kWhite) {
+                color[next] = kGray;
+                stack.push_back({next, 0});
+                path.push_back(next);
+            } else if (color[next] == kGray) {
+                // Back edge: the cycle is the path suffix starting at next.
+                std::string cyc;
+                for (auto p = std::find(path.begin(), path.end(), next);
+                     p != path.end(); ++p)
+                    cyc += gates[*p].out + " -> ";
+                report(BenchFindingKind::Cycle, gates[top.gate].line,
+                       gates[next].out,
+                       "combinational cycle: " + cyc + gates[next].out);
+            }
+        }
+    }
+    return scan;
+}
+
+Circuit parse_bench(const BenchScan& scan, std::string circuit_name) {
+    if (!scan.findings.empty()) {
+        const BenchFinding& first = scan.findings.front();
+        throw support::ParseError("bench", first.line, first.message);
+    }
+
+    // Topological emission (forward references are legal in .bench).  A
+    // clean scan has no undriven net and no cycle, so every pass emits.
     Circuit circuit(std::move(circuit_name));
     std::unordered_map<std::string, NetId> net_of;
-    for (const auto& [name, decl_line] : input_names) {
-        if (net_of.count(name)) fail(decl_line, "duplicate INPUT " + name);
-        if (const auto it = driver_line.find(name); it != driver_line.end())
-            fail(it->second, "net '" + name + "' driven twice (INPUT at "
-                             "line " + std::to_string(decl_line) + ")");
-        net_of[name] = circuit.add_input(name);
-    }
-
+    for (const BenchDecl& in : scan.inputs)
+        net_of[in.name] = circuit.add_input(in.name);
+    const std::vector<BenchGate>& raw = scan.gates;
     std::vector<bool> emitted(raw.size(), false);
     size_t remaining = raw.size();
     while (remaining > 0) {
         bool progress = false;
         for (size_t i = 0; i < raw.size(); ++i) {
             if (emitted[i]) continue;
-            const RawGate& g = raw[i];
+            const BenchGate& g = raw[i];
             bool ready = true;
             for (const std::string& f : g.fanin)
                 if (!net_of.count(f)) {
@@ -148,55 +243,20 @@ Circuit parse_bench(const std::string& text, std::string circuit_name) {
             std::vector<NetId> fanin;
             fanin.reserve(g.fanin.size());
             for (const std::string& f : g.fanin) fanin.push_back(net_of[f]);
-            // Circuit::add_gate validates arity etc. with invalid_argument;
-            // surface those as line-numbered parse diagnostics.
-            try {
-                net_of[g.out] =
-                    circuit.add_gate(type_from_string(g.type, g.line), g.out,
-                                     std::move(fanin));
-            } catch (const std::invalid_argument& e) {
-                fail(g.line, e.what());
-            }
+            net_of[g.out] = circuit.add_gate(g.type, g.out, std::move(fanin));
             emitted[i] = true;
             --remaining;
             progress = true;
         }
-        if (!progress) {
-            // Distinguish the two stall causes: a fanin no line defines is
-            // an undefined net; if every fanin has a driver, the unemitted
-            // gates form a combinational cycle.
-            for (size_t i = 0; i < raw.size(); ++i) {
-                if (emitted[i]) continue;
-                for (const std::string& f : raw[i].fanin)
-                    if (!net_of.count(f) && !driver_line.count(f))
-                        fail(raw[i].line, "undefined net '" + f +
-                                          "' in fanin of '" + raw[i].out +
-                                          "'");
-            }
-            for (size_t i = 0; i < raw.size(); ++i)
-                if (!emitted[i])
-                    fail(raw[i].line, "combinational cycle involving '" +
-                                      raw[i].out + "'");
-        }
+        if (!progress) throw std::logic_error("scan_bench missed a stall");
     }
-
-    std::unordered_map<std::string, int> output_line;
-    std::unordered_map<std::string, int> input_line;
-    for (const auto& [name, decl_line] : input_names) input_line[name] = decl_line;
-    for (const auto& [name, decl_line] : output_names) {
-        const auto [prev, inserted] = output_line.emplace(name, decl_line);
-        if (!inserted)
-            fail(decl_line, "duplicate OUTPUT " + name + " (first declared "
-                            "at line " + std::to_string(prev->second) + ")");
-        if (const auto in_it = input_line.find(name); in_it != input_line.end())
-            fail(decl_line, "net '" + name + "' declared both INPUT (line " +
-                            std::to_string(in_it->second) + ") and OUTPUT");
-        auto it = net_of.find(name);
-        if (it == net_of.end())
-            fail(decl_line, "OUTPUT(" + name + ") never driven");
-        circuit.mark_output(it->second);
-    }
+    for (const BenchDecl& out : scan.outputs)
+        circuit.mark_output(net_of.at(out.name));
     return circuit;
+}
+
+Circuit parse_bench(const std::string& text, std::string circuit_name) {
+    return parse_bench(scan_bench(text), std::move(circuit_name));
 }
 
 Circuit load_bench_file(const std::string& path) {

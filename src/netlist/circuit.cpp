@@ -52,27 +52,17 @@ std::uint64_t eval_gate(GateType type, std::span<const std::uint64_t> fanin) {
     throw std::invalid_argument("unknown gate type");
 }
 
-namespace {
-
-void check_arity(GateType type, std::size_t arity) {
+const char* arity_error(GateType type, std::size_t arity) {
     switch (type) {
         case GateType::Input:
-            if (arity != 0)
-                throw std::invalid_argument("Input gates take no fanin");
-            return;
+            return arity == 0 ? nullptr : "Input gates take no fanin";
         case GateType::Buf:
         case GateType::Not:
-            if (arity != 1)
-                throw std::invalid_argument("Buf/Not take exactly one fanin");
-            return;
+            return arity == 1 ? nullptr : "Buf/Not take exactly one fanin";
         default:
-            if (arity < 2)
-                throw std::invalid_argument(
-                    "multi-input gates need >= 2 fanins");
+            return arity >= 2 ? nullptr : "multi-input gates need >= 2 fanins";
     }
 }
-
-}  // namespace
 
 NetId Circuit::add_input(std::string name) {
     const NetId id = static_cast<NetId>(gates_.size());
@@ -85,7 +75,8 @@ NetId Circuit::add_gate(GateType type, std::string name,
                         std::vector<NetId> fanin) {
     if (type == GateType::Input)
         throw std::invalid_argument("use add_input for primary inputs");
-    check_arity(type, fanin.size());
+    if (const char* bad = arity_error(type, fanin.size()))
+        throw std::invalid_argument(bad);
     for (NetId f : fanin)
         if (f >= gates_.size())
             throw std::invalid_argument("fanin net does not exist: " +
@@ -147,11 +138,9 @@ std::vector<std::string> Circuit::validate() const {
         if (fo[g].empty() && !is_output(g))
             problems.push_back("dangling net (no fanout, not a PO): " +
                                gates_[g].name);
-        try {
-            check_arity(gates_[g].type, gates_[g].fanin.size());
-        } catch (const std::invalid_argument& e) {
-            problems.push_back(gates_[g].name + ": " + e.what());
-        }
+        if (const char* bad =
+                arity_error(gates_[g].type, gates_[g].fanin.size()))
+            problems.push_back(gates_[g].name + ": " + bad);
     }
     if (outputs_.empty()) problems.push_back("circuit has no primary outputs");
     return problems;

@@ -32,6 +32,11 @@ enum class GateType : std::uint8_t {
 /// Human-readable gate-type name ("NAND", ...).
 const char* gate_type_name(GateType type);
 
+/// The fanin-count rule: nullptr when a `type` gate may have `arity`
+/// fanins, else the reason.  Circuit::add_gate and the .bench scan both
+/// apply it.
+const char* arity_error(GateType type, std::size_t arity);
+
 /// Evaluates a gate over bit-parallel words (one simulation per bit lane).
 /// Input gates are invalid here; Buf/Not take exactly one operand.
 std::uint64_t eval_gate(GateType type, std::span<const std::uint64_t> fanin);

@@ -9,9 +9,6 @@
 //   * runtime: DLPROJ_TELEMETRY=1 turns collection on; DLPROJ_TRACE=<path>
 //     turns collection on AND writes the trace file at exit.  set_enabled()
 //     overrides either programmatically (benches, tests).
-//   * compile time: -DDLPROJ_OBS_ENABLED=0 (CMake option -DDLPROJ_OBS=OFF)
-//     compiles every DLP_OBS_* macro in the instrumented layers down to
-//     nothing; the library itself stays linkable.
 //
 // Cost contract: when disabled at runtime the hot path is one relaxed
 // atomic load and a predicted branch — no allocation, no lock, no clock
@@ -202,19 +199,14 @@ void reset();
 
 }  // namespace dlp::obs
 
-// ---- compile-time kill switch --------------------------------------------
-// Instrumented layers use these macros so -DDLPROJ_OBS_ENABLED=0 removes
-// the sites entirely (arguments are not evaluated).  DLP_OBS_COUNTER /
-// DLP_OBS_GAUGE declare a function-local static reference so the registry
-// lookup happens once per site, not per hit.
-#ifndef DLPROJ_OBS_ENABLED
-#define DLPROJ_OBS_ENABLED 1
-#endif
+// ---- instrumentation macros -----------------------------------------------
+// Instrumented layers use these macros.  DLP_OBS_COUNTER / DLP_OBS_GAUGE
+// declare a function-local static reference so the registry lookup happens
+// once per site, not per hit.
 
 // `var` is deliberately a bare declarator name in these macros
 // (a parenthesized declarator would change the declaration).
 // NOLINTBEGIN(bugprone-macro-parentheses)
-#if DLPROJ_OBS_ENABLED
 #define DLP_OBS_SPAN(var, name) ::dlp::obs::Span var{name}
 #define DLP_OBS_SPAN_NOTE(var, text) (var).annotate(text)
 #define DLP_OBS_COUNTER(var, name) \
@@ -224,18 +216,4 @@ void reset();
     static ::dlp::obs::Gauge& var = ::dlp::obs::gauge(name)
 #define DLP_OBS_SET(var, v) (var).set(v)
 #define DLP_OBS_ANNOTATE(text) ::dlp::obs::annotate_current(text)
-#else
-namespace dlp::obs {
-struct NoopSpan {
-    void annotate(std::string_view) {}
-};
-}  // namespace dlp::obs
-#define DLP_OBS_SPAN(var, name) [[maybe_unused]] ::dlp::obs::NoopSpan var
-#define DLP_OBS_SPAN_NOTE(var, text) ((void)(var))
-#define DLP_OBS_COUNTER(var, name) [[maybe_unused]] constexpr int var = 0
-#define DLP_OBS_ADD(var, n) ((void)(var))
-#define DLP_OBS_GAUGE(var, name) [[maybe_unused]] constexpr int var = 0
-#define DLP_OBS_SET(var, v) ((void)(var))
-#define DLP_OBS_ANNOTATE(text) ((void)0)
-#endif
 // NOLINTEND(bugprone-macro-parentheses)

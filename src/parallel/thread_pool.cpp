@@ -63,20 +63,16 @@ void ThreadPool::helper_loop(int worker_id) {
     std::uint64_t seen = 0;
     for (;;) {
         const std::function<void(int)>* job = nullptr;
-#if DLPROJ_OBS_ENABLED
         // Idle = time parked on cv_start_ between jobs; clock reads only
         // happen while collection is on.
         DLP_OBS_COUNTER(c_idle, "pool.idle_ns");
         const std::int64_t idle_t0 = obs::enabled() ? obs::now_ns() : 0;
-#endif
         {
             std::unique_lock<std::mutex> lock(mu_);
             cv_start_.wait(lock, [&] {
                 return shutdown_ || generation_ != seen;
             });
-#if DLPROJ_OBS_ENABLED
             if (idle_t0 != 0) DLP_OBS_ADD(c_idle, obs::now_ns() - idle_t0);
-#endif
             if (shutdown_) return;
             seen = generation_;
             if (worker_id <= active_helpers_) job = job_;

@@ -1,8 +1,9 @@
 #include "support/env.h"
 
 #include <cctype>
-#include <cerrno>
 #include <cstdlib>
+
+#include "support/parse.h"
 
 namespace dlp::support {
 
@@ -25,18 +26,11 @@ long long env_int(const char* name, long long fallback, long long min,
                   long long max) {
     const char* raw = std::getenv(name);
     if (raw == nullptr || *raw == '\0') return fallback;
-    const std::string value(raw);
-    errno = 0;
-    char* end = nullptr;
-    const long long v = std::strtoll(raw, &end, 10);
-    // Reject trailing junk ("100ms"), a bare sign, and leading whitespace
-    // oddities strtoll tolerates but a config file should not.
-    if (end == raw || *end != '\0' ||
-        std::isspace(static_cast<unsigned char>(raw[0])))
-        bad_value(name, value, range_text(min, max));
-    if (errno == ERANGE || v < min || v > max)
-        bad_value(name, value, range_text(min, max));
-    return v;
+    try {
+        return parse_int(raw, min, max);
+    } catch (const std::runtime_error&) {
+        bad_value(name, raw, range_text(min, max));
+    }
 }
 
 bool env_flag(const char* name, bool fallback) {

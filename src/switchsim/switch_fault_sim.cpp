@@ -390,9 +390,7 @@ support::ApplyResult SwitchFaultSimulator::apply(
     DLP_OBS_COUNTER(c_cap_hits, "faultsim.switch.cap_hits");
     DLP_OBS_GAUGE(g_remaining, "faultsim.switch.remaining");
     DLP_OBS_GAUGE(g_rate, "faultsim.switch.batches_per_sec");
-#if DLPROJ_OBS_ENABLED
     const std::int64_t t0 = obs::enabled() ? obs::now_ns() : 0;
-#endif
 
     size_t completed = 0;
     for (size_t base = 0; base < vectors.size(); base += kBatch) {
@@ -498,7 +496,6 @@ support::ApplyResult SwitchFaultSimulator::apply(
     DLP_OBS_ADD(c_dropped, newly);
     DLP_OBS_SET(g_remaining, static_cast<double>(faults_.size()) -
                                  static_cast<double>(detected_total));
-#if DLPROJ_OBS_ENABLED
     if (t0 != 0) {
         const double secs = static_cast<double>(obs::now_ns() - t0) / 1e9;
         if (secs > 0)
@@ -509,7 +506,6 @@ support::ApplyResult SwitchFaultSimulator::apply(
     if (result.stop != support::StopReason::None)
         DLP_OBS_ANNOTATE("stopped: " +
                          std::string(support::stop_reason_name(result.stop)));
-#endif
     return result;
 }
 

@@ -8,13 +8,14 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "extract/rules_parser.h"
 #include "flow/experiment.h"
 #include "gatesim/faults.h"
 #include "lint/checks.h"
 #include "lint/diagnostics.h"
-#include "netlist/bench_parser.h"
 #include "netlist/builders.h"
 #include "service/json.h"
 
@@ -36,27 +37,17 @@ std::string read_fixture(const std::string& name) {
 }
 
 /// Runs the same sweep cascade as the dlproj_lint CLI on a `.bench`
-/// fixture: lenient text scan; when that finds no errors, the strict parse
-/// plus circuit- and fault-level sweeps.
+/// fixture: one text scan; when it finds nothing, the circuit- and
+/// fault-level sweeps over the circuit it built.
 lint::LintReport lint_bench_fixture(const std::string& name,
                                     const lint::LintOptions& options = {}) {
-    const std::string text = read_fixture(name);
     lint::DiagnosticEngine engine{lint::SuppressionSet(options.suppress)};
-    lint::lint_bench_text(text, name, engine);
-    if (engine.errors() == 0) {
-        try {
-            const netlist::Circuit c = netlist::parse_bench(text, name);
-            lint::lint_circuit(c, engine, options);
-            const auto collapsed =
-                gatesim::collapse_faults(c, gatesim::full_fault_universe(c));
-            lint::lint_faults(c, collapsed, engine);
-        } catch (const std::runtime_error& e) {
-            // Suppressing a text-level error can let a netlist the strict
-            // parser still rejects through; surface that as bench-syntax
-            // (same cascade as the dlproj_lint CLI).
-            engine.report(lint::Severity::Error, "bench-syntax", e.what(),
-                          {name, 0});
-        }
+    const std::string text = read_fixture(name);
+    if (const auto c = lint::lint_bench_text(text, name, engine)) {
+        lint::lint_circuit(*c, engine, options);
+        const auto collapsed =
+            gatesim::collapse_faults(*c, gatesim::full_fault_universe(*c));
+        lint::lint_faults(*c, collapsed, engine);
     }
     return lint::make_report(engine);
 }
@@ -294,7 +285,7 @@ TEST(Diagnostics, JsonRoundTripsThroughServiceParser) {
 }
 
 TEST(Diagnostics, JsonRoundTripsAdversarialBenchNetNames) {
-    // End to end through the lenient text scan: a .bench whose net names
+    // End to end through the .bench text scan: a .bench whose net names
     // carry quotes and backslashes must come back intact after a JSON
     // encode/decode cycle — the path the --json CLI output takes.
     lint::DiagnosticEngine e;
@@ -352,12 +343,23 @@ TEST(LintBench, FlagsEverySyntaxErrorNotJustTheFirst) {
     size_t syntax = 0;
     for (const auto& d : r.diagnostics)
         if (d.check == "bench-syntax") ++syntax;
-    // Unknown gate type at line 4 AND the malformed line 5: the lenient
-    // scanner reports both where the strict parser stops at one.
+    // Unknown gate type at line 4 AND the malformed line 5: the scan
+    // reports both where the strict parser throws the first.
     EXPECT_GE(syntax, 2u);
     const auto* d = find_check(r, "bench-syntax");
     ASSERT_NE(d, nullptr);
     EXPECT_EQ(d->loc.line, 4);
+}
+
+TEST(LintBench, FlagsGateArity) {
+    // The arity rule Circuit::add_gate applies, reported at each gate.
+    const auto r = lint_bench_fixture("bad_arity.bench");
+    std::vector<std::pair<std::string, int>> arity;
+    for (const auto& d : r.diagnostics)
+        if (d.check == "bench-syntax") arity.emplace_back(d.object, d.loc.line);
+    EXPECT_EQ(arity, (std::vector<std::pair<std::string, int>>{{"y", 5},
+                                                                {"z", 6}}));
+    EXPECT_EQ(r.errors, 2u) << lint::render_text(r.diagnostics);
 }
 
 TEST(LintBench, FlagsOutputConflicts) {
@@ -413,6 +415,8 @@ TEST(LintBench, SuppressionDropsTheFinding) {
     const auto r = lint_bench_fixture("bad_undriven.bench", opts);
     EXPECT_FALSE(has_check(r, "net-undriven"));
     EXPECT_GE(r.suppressed, 1u);
+    // The text still builds no circuit, so no sweep runs after the scan.
+    EXPECT_TRUE(r.diagnostics.empty()) << lint::render_text(r.diagnostics);
 }
 
 // -------------------------------------------------------- rules fixtures
@@ -533,8 +537,8 @@ TEST(LintFaults, DetectsLostClass) {
     lint::DiagnosticEngine e;
     lint::lint_faults(c, collapsed, e);
     EXPECT_FALSE(e.ok());
-    const auto* d =
-        find_check(lint::make_report(e), "fault-equivalence-violation");
+    const lint::LintReport r = lint::make_report(e);
+    const auto* d = find_check(r, "fault-equivalence-violation");
     ASSERT_NE(d, nullptr);
     EXPECT_NE(d->message.find("lost"), std::string::npos) << d->message;
 }
@@ -568,8 +572,8 @@ TEST(LintFaults, DetectsDoubleCountedClass) {
     lint::DiagnosticEngine e;
     lint::lint_faults(c, collapsed, e);
     EXPECT_FALSE(e.ok());
-    const auto* d =
-        find_check(lint::make_report(e), "fault-equivalence-violation");
+    const lint::LintReport r = lint::make_report(e);
+    const auto* d = find_check(r, "fault-equivalence-violation");
     ASSERT_NE(d, nullptr);
     EXPECT_NE(d->message.find("double-counted"), std::string::npos)
         << d->message;

@@ -78,6 +78,37 @@ w = NOT(b)
     EXPECT_EQ(to_bench(c2), to_bench(c));
 }
 
+TEST(Bench, ForwardReferencesEmitInPassOrder) {
+    // Every data/*.bench file is topologically ordered, so this pins the
+    // emission order for forward references: repeated passes over file
+    // order, each gate as soon as its fanins exist.  NetIds (and every
+    // digest and cache key built on them) follow this order.
+    const char* text =
+        "# forward references, listed against topological order\n"
+        "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\nOUTPUT(q)\n"
+        "z = NAND(y, x)\n"
+        "q = NOR(w, c)\n"
+        "y = OR(x, w)\n"
+        "x = AND(v, b)\n"
+        "w = XOR(a, v)\n"
+        "v = NOT(c)\n"
+        "u = BUFF(a)\n"
+        "p = XNOR(u, q)\n"
+        "OUTPUT(p)\n";
+    EXPECT_EQ(to_bench(parse_bench(text, "fwd")),
+              "# fwd\n"
+              "INPUT(a)\nINPUT(b)\nINPUT(c)\n"
+              "OUTPUT(z)\nOUTPUT(q)\nOUTPUT(p)\n"
+              "v = NOT(c)\n"
+              "u = BUF(a)\n"
+              "x = AND(v, b)\n"
+              "w = XOR(a, v)\n"
+              "q = NOR(w, c)\n"
+              "y = OR(x, w)\n"
+              "p = XNOR(u, q)\n"
+              "z = NAND(y, x)\n");
+}
+
 TEST(Bench, LoadsC17FileMatchingBuilder) {
     // data/c17.bench ships with the repo; it must match build_c17().
     Circuit from_file;

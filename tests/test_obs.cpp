@@ -301,9 +301,6 @@ TEST_F(ObsTest, TraceJsonIsWellFormed) {
 }
 
 TEST_F(ObsTest, TraceJsonWellFormedAfterFullExperiment) {
-#if !DLPROJ_OBS_ENABLED
-    GTEST_SKIP() << "instrumentation compiled out (-DDLPROJ_OBS=OFF)";
-#endif
     flow::ExperimentOptions opt;
     auto r = flow::run_experiment(netlist::build_c17(), opt);
     (void)r;
@@ -316,9 +313,6 @@ TEST_F(ObsTest, TraceJsonWellFormedAfterFullExperiment) {
 // ---- determinism across thread counts ------------------------------------
 
 TEST_F(ObsTest, GateSimCountersBitIdenticalAcrossThreadCounts) {
-#if !DLPROJ_OBS_ENABLED
-    GTEST_SKIP() << "instrumentation compiled out (-DDLPROJ_OBS=OFF)";
-#endif
     const auto c = netlist::techmap(netlist::build_c432());
     const auto faults =
         gatesim::collapse_faults(c, gatesim::full_fault_universe(c));
@@ -341,9 +335,6 @@ TEST_F(ObsTest, GateSimCountersBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(ObsTest, SwitchSimCountersBitIdenticalAcrossThreadCounts) {
-#if !DLPROJ_OBS_ENABLED
-    GTEST_SKIP() << "instrumentation compiled out (-DDLPROJ_OBS=OFF)";
-#endif
     const auto c = netlist::techmap(netlist::build_c17());
     const auto chip = layout::place_and_route(c);
     const auto extraction = extract::extract_faults(
@@ -371,9 +362,6 @@ TEST_F(ObsTest, SwitchSimCountersBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(ObsTest, SwitchSolverCountersOnC432Flow) {
-#if !DLPROJ_OBS_ENABLED
-    GTEST_SKIP() << "instrumentation compiled out (-DDLPROJ_OBS=OFF)";
-#endif
     // The c432 flow's switch-level stage: the event-driven solver stays
     // under 10 component solves per fault-vector, never truncates at
     // max_sweeps, and its counters are identical at 1 and 4 threads.
@@ -408,9 +396,6 @@ TEST_F(ObsTest, SwitchSolverCountersOnC432Flow) {
 }
 
 TEST_F(ObsTest, AtpgCountersAreReproducible) {
-#if !DLPROJ_OBS_ENABLED
-    GTEST_SKIP() << "instrumentation compiled out (-DDLPROJ_OBS=OFF)";
-#endif
     const auto c = netlist::techmap(netlist::build_c17());
     const auto faults =
         gatesim::collapse_faults(c, gatesim::full_fault_universe(c));

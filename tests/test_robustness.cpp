@@ -15,6 +15,7 @@
 //     support/cancel.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -35,11 +36,13 @@
 #include "flow/report.h"
 #include "gatesim/levelized.h"
 #include "gatesim/patterns.h"
+#include "lint/checks.h"
 #include "netlist/bench_parser.h"
 #include "netlist/builders.h"
 #include "parallel/parallel_for.h"
 #include "support/cancel.h"
 #include "support/env.h"
+#include "support/parse.h"
 
 namespace dlp {
 namespace {
@@ -98,25 +101,48 @@ bool line_tagged(const std::string& msg, const std::string& tag) {
     return j > digits_start && j < msg.size() && msg[j] == ':';
 }
 
-TEST(ParserFuzz, BenchMutationsParseOrDiagnoseWithLineNumbers) {
-    const std::string base = netlist::to_bench(netlist::build_c17());
-    int parsed = 0;
-    int rejected = 0;
-    for (std::uint32_t seed = 0; seed < 300; ++seed) {
-        const std::string text = mutate(base, seed);
-        try {
-            netlist::parse_bench(text, "fuzz");
-            ++parsed;
-        } catch (const std::runtime_error& e) {
-            // Any other exception type escapes the catch and fails the
-            // test; crashes / UB are caught by the sanitizer CI job.
-            EXPECT_TRUE(line_tagged(e.what(), "bench"))
-                << "seed " << seed << ": " << e.what();
-            ++rejected;
-        }
+/// Runs both .bench readers on `text` and checks that they agree:
+/// lint_bench_text reports an error exactly when parse_bench throws, and
+/// the thrown line and message are one of the lint findings.  Returns
+/// whether the text parsed.
+bool bench_readers_agree(const std::string& text, const std::string& what) {
+    lint::DiagnosticEngine engine;
+    lint::lint_bench_text(text, "fuzz", engine);
+    try {
+        netlist::parse_bench(text, "fuzz");
+        EXPECT_EQ(engine.errors(), 0u)
+            << what << ": parsed, but lint says\n"
+            << lint::render_text(engine.diagnostics());
+        return true;
+    } catch (const support::ParseError& e) {
+        // Any other exception type escapes the catch and fails the test;
+        // crashes / UB are caught by the sanitizer CI job.
+        EXPECT_TRUE(line_tagged(e.what(), "bench")) << what << ": " << e.what();
+        const auto& diags = engine.diagnostics();
+        EXPECT_TRUE(std::any_of(diags.begin(), diags.end(),
+                                [&](const lint::Diagnostic& d) {
+                                    return d.loc.line == e.line() &&
+                                           d.message == e.message();
+                                }))
+            << what << ": " << e.what() << " is no lint finding of\n"
+            << lint::render_text(diags);
+        return false;
     }
-    EXPECT_EQ(parsed + rejected, 300);
-    EXPECT_GT(rejected, 0) << "the mutator never produced an invalid bench";
+}
+
+TEST(ParserFuzz, BenchMutationsParseOrDiagnoseWithLineNumbers) {
+    for (const netlist::Circuit& c :
+         {netlist::build_c17(), netlist::build_c432()}) {
+        const std::string base = netlist::to_bench(c);
+        int rejected = 0;
+        for (std::uint32_t seed = 0; seed < 3000; ++seed)
+            if (!bench_readers_agree(mutate(base, seed),
+                                     c.name() + " seed " +
+                                         std::to_string(seed)))
+                ++rejected;
+        EXPECT_GT(rejected, 0) << "the mutator never produced an invalid bench";
+        EXPECT_LT(rejected, 3000) << "the mutator never kept a bench valid";
+    }
 }
 
 TEST(ParserFuzz, RulesMutationsParseOrDiagnoseWithLineNumbers) {
@@ -266,9 +292,22 @@ TEST(ParserDiagnostics, BenchStructuralErrorsCarryTheOffendingLine) {
         message_of("INPUT(a)\ny = NOT(a)\nOUTPUT(q)");
     EXPECT_TRUE(line_tagged(undriven, "bench")) << undriven;
     EXPECT_NE(undriven.find("never driven"), std::string::npos);
-    // Arity errors from circuit construction are translated too.
-    EXPECT_TRUE(line_tagged(
-        message_of("INPUT(a)\nINPUT(b)\ny = NOT(a, b)\nOUTPUT(y)"), "bench"));
+    // Gate arity is checked by the rule circuit construction applies, and
+    // the linter reports the same finding.
+    for (const char* text : {"INPUT(a)\nINPUT(b)\ny = NOT(a, b)\nOUTPUT(y)",
+                             "INPUT(a)\ny = AND(a)\nOUTPUT(y)"}) {
+        EXPECT_TRUE(line_tagged(message_of(text), "bench")) << text;
+        EXPECT_FALSE(bench_readers_agree(text, text));
+    }
+    // The line is a typed field, not only part of what().
+    try {
+        parse_bench("INPUT(a)\n\ny = NOT(zz)\nOUTPUT(y)", "x");
+        ADD_FAILURE() << "undefined net accepted";
+    } catch (const support::ParseError& e) {
+        EXPECT_EQ(e.line(), 3);
+        EXPECT_EQ(e.message(), "undefined net 'zz' in fanin of 'y'");
+        EXPECT_EQ(std::string(e.what()), "bench:3: " + e.message());
+    }
 }
 
 TEST(ParserDiagnostics, RulesRejectBadValuesAndDuplicates) {
@@ -285,9 +324,11 @@ TEST(ParserDiagnostics, RulesRejectBadValuesAndDuplicates) {
     EXPECT_NO_THROW(parse_defect_rules("short metal1 1\nshort metal2 2"));
     try {
         parse_defect_rules("x0 2\n\nx0 3");
-    } catch (const std::runtime_error& e) {
+        ADD_FAILURE() << "duplicate x0 accepted";
+    } catch (const support::ParseError& e) {
         EXPECT_TRUE(line_tagged(e.what(), "rules")) << e.what();
         EXPECT_NE(std::string(e.what()).find("rules:3:"), std::string::npos);
+        EXPECT_EQ(e.line(), 3);
     }
 }
 

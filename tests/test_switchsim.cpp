@@ -961,9 +961,7 @@ TEST(ParallelDeterminism, ThreadCountInvariant) {
     SwitchFaultSimulator serial(sim, faults, parallel::ParallelOptions{1});
     serial.apply(vv);
     const auto serial_counters = counters();
-#if DLPROJ_OBS_ENABLED
     EXPECT_GT(serial_counters.at("faultsim.switch.table_hits"), 0);
-#endif
     const std::vector<int> serial_det(serial.first_detected_at().begin(),
                                       serial.first_detected_at().end());
     const std::vector<int> serial_iddq(serial.iddq_detected_at().begin(),

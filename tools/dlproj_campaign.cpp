@@ -46,13 +46,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <climits>
 #include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "support/cancel.h"
+#include "support/parse.h"
 
 #include "campaign/report.h"
 #include "campaign/runner.h"
@@ -140,15 +140,14 @@ int main(int argc, char** argv) {
                 csv_path = value("--csv=");
             else if (arg.rfind("--stats=", 0) == 0)
                 stats_path = value("--stats=");
-            else if (arg.rfind("--threads=", 0) == 0) {
-                const long long n = campaign::parse_int(value("--threads="));
-                if (n < INT_MIN || n > INT_MAX)
-                    throw std::out_of_range("thread count out of range");
-                threads = static_cast<int>(n);
-            } else if (arg.rfind("--max-vectors=", 0) == 0)
-                max_vectors = campaign::parse_int(value("--max-vectors="));
+            else if (arg.rfind("--threads=", 0) == 0)
+                threads = static_cast<int>(
+                    support::parse_int(value("--threads="), 0, 256));
+            else if (arg.rfind("--max-vectors=", 0) == 0)
+                max_vectors = support::parse_int(value("--max-vectors="));
             else if (arg.rfind("--timeout-ms=", 0) == 0)
-                timeout_ms = campaign::parse_int(value("--timeout-ms="));
+                timeout_ms =
+                    support::parse_int(value("--timeout-ms="), 0, 1ll << 40);
             else if (axis != axes.end())
                 axis_lists[axis - axes.begin()] = value(axis->flag).substr(1);
             else if (arg == "--no-recover")

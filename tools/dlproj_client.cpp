@@ -30,6 +30,8 @@
 //
 // The result body JSON goes to stdout.  Exit status: 0 ok, 1 cancelled or
 // server-side error, 2 usage, 3 shed (final), 4 unreachable.
+#include <climits>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -37,6 +39,7 @@
 #include <string>
 
 #include "service/client.h"
+#include "support/parse.h"
 
 namespace {
 
@@ -77,31 +80,41 @@ int main(int argc, char** argv) {
         const auto value = [&](const char* flag) {
             return arg.substr(std::strlen(flag));
         };
+        // Request fields take the ranges the server's protocol accepts.
+        constexpr long long kMaxMs = 1ll << 40;
+        const auto number = [&](const char* flag, long long min,
+                                long long max) {
+            return support::parse_int(value(flag), min, max);
+        };
         try {
             if (arg.rfind("--socket=", 0) == 0)
                 options.socket_path = value("--socket=");
             else if (arg.rfind("--timeout-ms=", 0) == 0)
-                request.deadline_ms = std::stoll(value("--timeout-ms="));
+                request.deadline_ms = number("--timeout-ms=", 0, kMaxMs);
             else if (arg.rfind("--io-timeout-ms=", 0) == 0)
-                options.io_timeout_ms = std::stoi(value("--io-timeout-ms="));
+                options.io_timeout_ms =
+                    static_cast<int>(number("--io-timeout-ms=", 1, INT_MAX));
             else if (arg.rfind("--retries=", 0) == 0)
-                options.max_attempts = std::stoi(value("--retries="));
+                options.max_attempts =
+                    static_cast<int>(number("--retries=", 0, INT_MAX));
             else if (arg.rfind("--idempotency-key=", 0) == 0)
                 request.idempotency_key = value("--idempotency-key=");
             else if (arg.rfind("--threads=", 0) == 0)
-                request.threads = std::stoi(value("--threads="));
+                request.threads =
+                    static_cast<int>(number("--threads=", 0, 256));
             else if (arg.rfind("--max-vectors=", 0) == 0)
-                request.max_vectors = std::stoll(value("--max-vectors="));
+                request.max_vectors = number("--max-vectors=", -1, 1ll << 40);
             else if (arg.rfind("--seed=", 0) == 0)
-                request.seed = std::stoull(value("--seed="));
+                request.seed = static_cast<std::uint64_t>(
+                    number("--seed=", 0, INT64_MAX >> 12));
             else if (arg.rfind("--ndetect=", 0) == 0)
-                request.ndetect = std::stoi(value("--ndetect="));
+                request.ndetect = static_cast<int>(number("--ndetect=", 0, 64));
             else if (arg == "--analysis")
                 request.analysis = true;
             else if (arg.rfind("--defect-stats=", 0) == 0)
                 request.defect_stats = value("--defect-stats=");
             else if (arg.rfind("--linger-ms=", 0) == 0)
-                request.linger_ms = std::stoll(value("--linger-ms="));
+                request.linger_ms = number("--linger-ms=", 0, kMaxMs);
             else if (arg == "--no-retry-shed")
                 options.retry_on_shed = false;
             else if (arg == "--quiet")

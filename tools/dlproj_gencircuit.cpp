@@ -12,6 +12,7 @@
 // The netlist comes from netlist::build_random_circuit (splitmix64-seeded,
 // recent-net fanin bias for realistic logic depth); a summary line with the
 // gate count, depth, and I/O widths goes to stderr.
+#include <climits>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "gatesim/levelized.h"
 #include "netlist/bench_parser.h"
 #include "netlist/builders.h"
+#include "support/parse.h"
 
 namespace {
 
@@ -45,11 +47,14 @@ int main(int argc, char** argv) {
         };
         try {
             if (arg.rfind("--inputs=", 0) == 0)
-                inputs = std::stoi(value("--inputs="));
+                inputs = static_cast<int>(
+                    support::parse_int(value("--inputs="), 2, INT_MAX));
             else if (arg.rfind("--gates=", 0) == 0)
-                gates = std::stoi(value("--gates="));
+                gates = static_cast<int>(
+                    support::parse_int(value("--gates="), 1, INT_MAX));
             else if (arg.rfind("--seed=", 0) == 0)
-                seed = std::stoull(value("--seed="));
+                seed = static_cast<std::uint64_t>(
+                    support::parse_int(value("--seed="), 0, LLONG_MAX));
             else if (arg.rfind("--out=", 0) == 0)
                 out = value("--out=");
             else {

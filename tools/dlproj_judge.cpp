@@ -30,6 +30,7 @@
 // simulation/extraction, flips the digest.  Wall time goes to stderr so
 // timing never perturbs the digest.
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -40,6 +41,7 @@
 #include "gatesim/engine.h"
 #include "gatesim/faults.h"
 #include "gatesim/patterns.h"
+#include "support/parse.h"
 
 namespace {
 
@@ -109,9 +111,11 @@ int main(int argc, char** argv) {
             } else if (arg.rfind("--engine=", 0) == 0) {
                 engine_name = arg.substr(std::strlen("--engine="));
             } else if (arg.rfind("--vectors=", 0) == 0) {
-                vectors = std::stoi(arg.substr(std::strlen("--vectors=")));
+                vectors = static_cast<int>(support::parse_int(
+                    arg.substr(std::strlen("--vectors=")), 1, INT_MAX));
             } else if (arg.rfind("--seed=", 0) == 0) {
-                seed = std::stoull(arg.substr(std::strlen("--seed=")));
+                seed = static_cast<std::uint64_t>(support::parse_int(
+                    arg.substr(std::strlen("--seed=")), 0, LLONG_MAX));
             } else if (arg == "--switch") {
                 switch_level = true;
             } else if (arg.rfind("--", 0) == 0) {
@@ -130,10 +134,6 @@ int main(int argc, char** argv) {
         }
     }
     if (circuit_name.empty()) return usage(argv[0]);
-    if (vectors <= 0) {
-        std::cerr << argv[0] << ": --vectors must be positive\n";
-        return 2;
-    }
 
     try {
         if (switch_level)

@@ -14,10 +14,12 @@
 //                     correspondingly slower, hence opt-in.
 //
 // Exit status: 0 clean, 1 findings at the failing severity, 2 usage or I/O
-// error.  `.bench` files get the lenient text scan first; only when that
-// finds no errors is the strict parser run so the circuit- and fault-level
-// sweeps can see the in-memory design.  `.rules` files are parsed (a parse
-// failure becomes a `rules-syntax` error diagnostic) and the deck sweep run.
+// error.  `.bench` files get one scan (netlist::scan_bench) that reports
+// every text-level finding; only a text with none is built into a circuit
+// for the circuit- and fault-level sweeps.  `.rules` files are parsed (a
+// parse failure becomes a `rules-syntax` error at its line) and the deck
+// sweep run.
+#include <climits>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -29,7 +31,7 @@
 #include "gatesim/faults.h"
 #include "lint/checks.h"
 #include "lint/diagnostics.h"
-#include "netlist/bench_parser.h"
+#include "support/parse.h"
 
 namespace {
 
@@ -54,46 +56,20 @@ bool ends_with(const std::string& s, const char* suffix) {
     return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
-/// Extracts the line number from a parser message of the form
-/// "prefix:N: ..." so the failure still renders with a location.
-dlp::lint::SourceLoc loc_from_parse_error(const std::string& file,
-                                          const std::string& what) {
-    dlp::lint::SourceLoc loc{file, 0};
-    const size_t colon = what.find(':');
-    if (colon == std::string::npos) return loc;
-    const size_t end = what.find(':', colon + 1);
-    if (end == std::string::npos) return loc;
-    try {
-        loc.line = std::stoi(what.substr(colon + 1, end - colon - 1));
-    } catch (...) {
-        loc.line = 0;
-    }
-    return loc;
-}
-
 void lint_bench_file(const std::string& path, const std::string& text,
                      dlp::lint::DiagnosticEngine& engine,
                      const dlp::lint::LintOptions& options,
                      bool testability) {
-    const std::size_t errors_before = engine.errors();
-    dlp::lint::lint_bench_text(text, path, engine);
-    // The strict parser (and the sweeps that need an in-memory circuit)
-    // only run on text the lenient scan passed: every parse failure is
-    // already reported above with better coverage.
-    if (engine.errors() != errors_before) return;
-    try {
-        const dlp::netlist::Circuit circuit =
-            dlp::netlist::parse_bench(text, path);
-        dlp::lint::lint_circuit(circuit, engine, options);
-        const auto collapsed = dlp::gatesim::collapse_faults(
-            circuit, dlp::gatesim::full_fault_universe(circuit));
-        dlp::lint::lint_faults(circuit, collapsed, engine);
-        if (testability)
-            dlp::lint::lint_redundant_logic(circuit, collapsed, engine);
-    } catch (const std::runtime_error& e) {
-        engine.report(dlp::lint::Severity::Error, "bench-syntax", e.what(),
-                      loc_from_parse_error(path, e.what()));
-    }
+    // One scan reports every text-level finding; only a clean text yields
+    // the circuit the circuit- and fault-level sweeps need.
+    const auto circuit = dlp::lint::lint_bench_text(text, path, engine);
+    if (!circuit) return;
+    dlp::lint::lint_circuit(*circuit, engine, options);
+    const auto collapsed = dlp::gatesim::collapse_faults(
+        *circuit, dlp::gatesim::full_fault_universe(*circuit));
+    dlp::lint::lint_faults(*circuit, collapsed, engine);
+    if (testability)
+        dlp::lint::lint_redundant_logic(*circuit, collapsed, engine);
 }
 
 void lint_rules_file(const std::string& path, const std::string& text,
@@ -101,9 +77,9 @@ void lint_rules_file(const std::string& path, const std::string& text,
     dlp::extract::DefectStatistics stats;
     try {
         stats = dlp::extract::parse_defect_rules(text);
-    } catch (const std::runtime_error& e) {
-        engine.report(dlp::lint::Severity::Error, "rules-syntax", e.what(),
-                      loc_from_parse_error(path, e.what()));
+    } catch (const dlp::support::ParseError& e) {
+        engine.report(dlp::lint::Severity::Error, "rules-syntax", e.message(),
+                      {path, e.line()});
         return;
     }
     dlp::lint::lint_rules(stats, engine, path);
@@ -130,10 +106,11 @@ int main(int argc, char** argv) {
             options.suppress = arg.substr(std::strlen("--suppress="));
         } else if (arg.rfind("--max-fanin=", 0) == 0) {
             try {
-                options.max_fanin =
-                    std::stoi(arg.substr(std::strlen("--max-fanin=")));
-            } catch (...) {
-                std::cerr << argv[0] << ": bad --max-fanin value\n";
+                options.max_fanin = static_cast<int>(dlp::support::parse_int(
+                    arg.substr(std::strlen("--max-fanin=")), 0, INT_MAX));
+            } catch (const std::runtime_error& e) {
+                std::cerr << argv[0] << ": bad value in " << arg << ": "
+                          << e.what() << "\n";
                 return usage(argv[0]);
             }
         } else if (arg.rfind("--", 0) == 0) {

@@ -27,6 +27,7 @@
 
 #include "service/server.h"
 #include "support/env.h"
+#include "support/parse.h"
 
 namespace {
 
@@ -58,24 +59,31 @@ int main(int argc, char** argv) {
         const auto value = [&](const char* flag) {
             return arg.substr(std::strlen(flag));
         };
+        // The ranges of the matching DLPROJ_SERVE_* knobs.
+        constexpr long long kMaxMs = 1ll << 40;
+        const auto number = [&](const char* flag, long long min,
+                                long long max) {
+            return support::parse_int(value(flag), min, max);
+        };
         try {
             if (arg.rfind("--socket=", 0) == 0)
                 config.socket_path = value("--socket=");
             else if (arg.rfind("--workers=", 0) == 0)
-                config.workers = std::stoi(value("--workers="));
+                config.workers = static_cast<int>(number("--workers=", 1, 64));
             else if (arg.rfind("--queue-max=", 0) == 0)
-                config.queue_max =
-                    static_cast<std::size_t>(std::stoull(value("--queue-max=")));
+                config.queue_max = static_cast<std::size_t>(
+                    number("--queue-max=", 1, 4096));
             else if (arg.rfind("--drain-ms=", 0) == 0)
-                config.drain_ms = std::stoll(value("--drain-ms="));
+                config.drain_ms = number("--drain-ms=", 0, kMaxMs);
             else if (arg.rfind("--deadline-ms=", 0) == 0)
-                config.max_deadline_ms = std::stoll(value("--deadline-ms="));
+                config.max_deadline_ms = number("--deadline-ms=", 0, kMaxMs);
             else if (arg.rfind("--retry-after-ms=", 0) == 0)
-                config.retry_after_ms = std::stoll(value("--retry-after-ms="));
+                config.retry_after_ms = number("--retry-after-ms=", 0, kMaxMs);
             else if (arg.rfind("--cache-dir=", 0) == 0)
                 config.cache_dir = value("--cache-dir=");
             else if (arg.rfind("--threads=", 0) == 0)
-                config.cell_threads = std::stoi(value("--threads="));
+                config.cell_threads =
+                    static_cast<int>(number("--threads=", 0, 256));
             else if (arg == "--quiet")
                 quiet = true;
             else {
