@@ -1,6 +1,8 @@
 #include "atpg/generate.h"
 
 #include <algorithm>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <span>
 #include <stdexcept>
@@ -95,10 +97,16 @@ TestGenResult generate_test_set(const Circuit& circuit,
                                            " random vectors");
     }
 
-    // Phase 2: PODEM for each remaining fault, with fault dropping.  A
-    // budget stop breaks the whole loop (it must not skip to the next
-    // fault, or the generated sequence would diverge from the unbounded
-    // run's); faults never reached stay Undetected.
+    // Phase 2: PODEM for each remaining fault, with fault dropping.  The
+    // targets are searched speculatively on every worker, claimed in fault
+    // order, and committed strictly in that order under the serial rules
+    // (docs/ENGINES.md, "PODEM targets in parallel").  A search reads only
+    // its fault, so the outcome is the serial one: a target that a
+    // committed vector already detects is dropped without an x-fill draw,
+    // and every other one draws its x-fill word at commit.  A budget stop
+    // ends the phase at the first target (in fault order) that it reaches,
+    // so the sequence stays a prefix of the unbounded run's; faults never
+    // reached stay Undetected.
     result.status.assign(sim.faults().size(), FaultStatus::Undetected);
     // Statically proven-untestable faults are settled before any PODEM
     // targeting: Redundant upfront, with neither a search nor an x-fill
@@ -111,8 +119,10 @@ TestGenResult generate_test_set(const Circuit& circuit,
                 ++result.redundant;
             }
     if (result.stop == support::StopReason::None) {
-        // Per-target counters: each PODEM search is one deterministic unit
-        // (fixed fault order + x-fill), so totals are thread-count-invariant.
+        // Per-target counters: each PODEM search is one deterministic unit,
+        // counted when it commits, so totals are thread-count-invariant.
+        // Searches that commit drops (their fault was detected meanwhile,
+        // or they lie past a stop) are engine diagnostics.
         DLP_OBS_SPAN(podem_span, "atpg.podem_phase");
         DLP_OBS_COUNTER(c_targets, "atpg.targets");
         DLP_OBS_COUNTER(c_backtracks, "atpg.backtracks");
@@ -120,58 +130,139 @@ TestGenResult generate_test_set(const Circuit& circuit,
         DLP_OBS_COUNTER(c_gate_evals, "atpg.gate_evals");
         DLP_OBS_COUNTER(c_aborts, "atpg.aborts");
         DLP_OBS_COUNTER(c_redundant, "atpg.redundant");
-        Podem podem(circuit, compute_testability(circuit));
-        for (std::size_t fi : sim.undetected()) {
-            if (sim.first_detected_at()[fi] >= 0) continue;  // dropped
-            if (result.status[fi] == FaultStatus::Redundant)
-                continue;  // statically proven untestable: already settled
-            const support::StopReason stop = budget.check();
-            if (stop != support::StopReason::None) {
-                result.stop = stop;
-                break;
-            }
-            const auto res = podem.generate(sim.faults()[fi], backtrack_limit,
-                                            rng.next_word(), &budget);
-            DLP_OBS_ADD(c_targets, 1);
-            DLP_OBS_ADD(c_backtracks, res.backtracks);
-            DLP_OBS_ADD(c_implications, res.implications);
-            DLP_OBS_ADD(c_gate_evals, res.gate_evals);
-            if (res.status == PodemResult::Status::Aborted &&
-                res.stop == support::StopReason::None)
-                DLP_OBS_ADD(c_aborts, 1);
-            if (res.status == PodemResult::Status::Redundant)
-                DLP_OBS_ADD(c_redundant, 1);
-            if (res.stop != support::StopReason::None) {
-                // Interrupted mid-search: the fault's real outcome is
-                // unknown, so it stays untargeted rather than Aborted.
-                result.stop = res.stop;
-                break;
-            }
-            switch (res.status) {
-                case PodemResult::Status::TestFound: {
-                    const Vector v = res.test;
-                    const auto ares = sim.apply(std::span(&v, 1), budget);
-                    if (ares.vectors_applied == 0) {
-                        // Vector cap reached: the test cannot join the
-                        // sequence, so the fault stays untargeted.
-                        result.stop = ares.stop;
-                        break;
-                    }
-                    result.vectors.push_back(v);
-                    ++result.deterministic_count;
+        DLP_OBS_COUNTER(c_discarded, "parallel.atpg_discarded");
+
+        std::vector<std::size_t> targets;
+        for (std::size_t fi : sim.undetected())
+            if (result.status[fi] != FaultStatus::Redundant)
+                targets.push_back(fi);
+        const std::size_t n = targets.size();
+        // Pending: unclaimed or being searched; Dropped: detected when its
+        // turn to be claimed came; Done: searched, result in `found`.
+        enum class Slot : std::uint8_t { Pending, Dropped, Done };
+        std::vector<Slot> slot(n, Slot::Pending);
+        std::vector<PodemResult> found(n);
+        const auto detected = [&](std::size_t t) {
+            return sim.first_detected_at()[targets[t]] >= 0;
+        };
+
+        // Everything below but the searches runs under `mu`: claims,
+        // commits (the simulator, the rng, `result`) and the slots.
+        std::mutex mu;
+        std::size_t next = 0;       // first unclaimed target
+        std::size_t committed = 0;  // first uncommitted target
+        bool ended = false;         // a commit stopped the phase
+        support::StopReason claim_stop = support::StopReason::None;
+
+        const auto commit_ready = [&] {
+            while (!ended && committed < n &&
+                   slot[committed] != Slot::Pending) {
+                const std::size_t t = committed++;
+                if (slot[t] == Slot::Dropped) continue;
+                if (detected(t)) {  // detected by an earlier commit
+                    DLP_OBS_ADD(c_discarded, 1);
+                    continue;
+                }
+                const std::size_t fi = targets[t];
+                const PodemResult& res = found[t];
+                const std::uint64_t x_fill = rng.next_word();
+                DLP_OBS_ADD(c_targets, 1);
+                DLP_OBS_ADD(c_backtracks, res.backtracks);
+                DLP_OBS_ADD(c_implications, res.implications);
+                DLP_OBS_ADD(c_gate_evals, res.gate_evals);
+                if (res.status == PodemResult::Status::Aborted &&
+                    res.stop == support::StopReason::None)
+                    DLP_OBS_ADD(c_aborts, 1);
+                if (res.status == PodemResult::Status::Redundant)
+                    DLP_OBS_ADD(c_redundant, 1);
+                if (res.stop != support::StopReason::None) {
+                    // Interrupted mid-search: the fault's real outcome is
+                    // unknown, so it stays untargeted rather than Aborted.
+                    result.stop = res.stop;
+                    ended = true;
                     break;
                 }
-                case PodemResult::Status::Redundant:
-                    result.status[fi] = FaultStatus::Redundant;
-                    ++result.redundant;
-                    break;
-                case PodemResult::Status::Aborted:
-                    result.status[fi] = FaultStatus::Aborted;
-                    ++result.aborted;
-                    break;
+                switch (res.status) {
+                    case PodemResult::Status::TestFound: {
+                        const Vector v = fill_cube(res.cube, x_fill);
+                        const auto ares = sim.apply(std::span(&v, 1), budget);
+                        if (ares.vectors_applied == 0) {
+                            // Vector cap reached: the test cannot join the
+                            // sequence, so the fault stays untargeted.
+                            result.stop = ares.stop;
+                            ended = true;
+                            break;
+                        }
+                        result.vectors.push_back(v);
+                        ++result.deterministic_count;
+                        break;
+                    }
+                    case PodemResult::Status::Redundant:
+                        result.status[fi] = FaultStatus::Redundant;
+                        ++result.redundant;
+                        break;
+                    case PodemResult::Status::Aborted:
+                        result.status[fi] = FaultStatus::Aborted;
+                        ++result.aborted;
+                        break;
+                }
             }
-            if (result.stop != support::StopReason::None) break;
-        }
+        };
+
+        // One worker: commit what is ready, claim the next target still
+        // undetected (the budget is checked before each claim), search it
+        // unlocked on the worker's own Podem, store, repeat.
+        const Testability testability = compute_testability(circuit);
+        const int workers = static_cast<int>(std::min<std::size_t>(
+            static_cast<std::size_t>(
+                parallel::resolve_threads(options.parallel)),
+            std::max<std::size_t>(n, 1)));
+        std::vector<std::optional<Podem>> podems(
+            static_cast<std::size_t>(workers));
+        const auto work = [&](int w) {
+            std::unique_lock<std::mutex> lock(mu);
+            try {
+                for (;;) {
+                    commit_ready();
+                    while (next < n && detected(next))
+                        slot[next++] = Slot::Dropped;
+                    if (ended || next == n ||
+                        claim_stop != support::StopReason::None)
+                        return;
+                    claim_stop = budget.check();
+                    if (claim_stop != support::StopReason::None) return;
+                    const std::size_t t = next++;
+                    const StuckAtFault fault = sim.faults()[targets[t]];
+                    lock.unlock();
+                    auto& podem = podems[static_cast<std::size_t>(w)];
+                    if (!podem) podem.emplace(circuit, testability);
+                    PodemResult res =
+                        podem->generate(fault, backtrack_limit, 0, &budget);
+                    lock.lock();
+                    found[t] = std::move(res);
+                    slot[t] = Slot::Done;
+                }
+            } catch (...) {
+                if (!lock.owns_lock()) lock.lock();
+                ended = true;  // stop the other workers claiming
+                throw;
+            }
+        };
+        parallel::parallel_for(
+            static_cast<std::size_t>(workers), 1,
+            [&](std::size_t, std::size_t, int w) { work(w); }, workers);
+
+        // A stop seen at a claim ends the phase only if a target it kept
+        // from being searched is still undetected (the serial loop would
+        // have skipped a detected one and gone on).
+        if (!ended && claim_stop != support::StopReason::None)
+            for (std::size_t t = committed; t < n; ++t)
+                if (!detected(t)) {
+                    result.stop = claim_stop;
+                    break;
+                }
+        for (std::size_t t = committed; t < n; ++t)
+            if (slot[t] == Slot::Done) DLP_OBS_ADD(c_discarded, 1);
     }
 
     // Phase 3: n-detection top-up.  Phases 1-2 are untouched by the target

@@ -44,7 +44,9 @@ struct TestGenOptions {
     int stale_blocks = 4;      ///< stop random phase after this many barren batches
     std::uint64_t seed = 1;
     int backtrack_limit = 4096;
-    /// Worker count for the embedded fault simulation (0 = default).
+    /// Worker count (0 = default) for the embedded fault simulation and
+    /// for the PODEM phase, which searches targets on every worker and
+    /// commits them in fault order; the test set does not depend on it.
     parallel::ParallelOptions parallel;
     /// n-detection target: 1 generates the classic single-detection set
     /// (bit-identical to the pre-n-detect driver); > 1 appends a top-up

@@ -359,6 +359,14 @@ std::pair<size_t, V3> Podem::backtrace(NetId net, V3 value) const {
     return {pi_index_of_net_[net], value};
 }
 
+Vector fill_cube(std::span<const V3> cube, std::uint64_t x_fill) {
+    Vector v(cube.size());
+    for (size_t i = 0; i < cube.size(); ++i)
+        v[i] = cube[i] == V3::X ? ((x_fill >> (i % 64)) & 1ULL) != 0
+                                : cube[i] == V3::One;
+    return v;
+}
+
 PodemResult Podem::generate(const StuckAtFault& fault, int backtrack_limit,
                             std::uint64_t x_fill,
                             const support::RunBudget* budget) {
@@ -394,11 +402,8 @@ PodemResult Podem::generate(const StuckAtFault& fault, int backtrack_limit,
     while (true) {
         if (d_outputs_ > 0) {  // a PO shows D/D': detected
             result.status = PodemResult::Status::TestFound;
-            result.test.resize(pi_count);
-            for (size_t i = 0; i < pi_count; ++i)
-                result.test[i] = pi_[i] == V3::X
-                                     ? ((x_fill >> (i % 64)) & 1ULL) != 0
-                                     : pi_[i] == V3::One;
+            result.cube = pi_;
+            result.test = fill_cube(result.cube, x_fill);
             return result;
         }
 

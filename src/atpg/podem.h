@@ -40,12 +40,15 @@ V3 v3_from_bool(bool b);
 
 struct PodemResult {
     enum class Status {
-        TestFound,  ///< `test` detects the fault (X inputs left as given fill)
+        TestFound,  ///< `cube` (and `test`) detects the fault
         Redundant,  ///< search space exhausted: the fault is untestable
         Aborted,    ///< backtrack limit hit before a decision
     };
     Status status = Status::Aborted;
-    Vector test;           ///< valid when status == TestFound
+    /// The PI assignment that detects the fault, X where the search left
+    /// an input free; valid when status == TestFound.
+    std::vector<V3> cube;
+    Vector test;           ///< `cube` filled by fill_cube with the x-fill
     int backtracks = 0;    ///< decisions reverted during the search
     int implications = 0;  ///< imply() passes run (search effort measure)
     /// Gates re-evaluated across all imply() passes (both machines of one
@@ -56,17 +59,24 @@ struct PodemResult {
     support::StopReason stop = support::StopReason::None;
 };
 
+/// A test cube as a vector: input i keeps its binary value, and an X
+/// input takes bit (i % 64) of `x_fill`.
+Vector fill_cube(std::span<const V3> cube, std::uint64_t x_fill);
+
 class Podem {
 public:
     /// The circuit must outlive the Podem object; the testability
     /// measures are copied.
     Podem(const Circuit& circuit, Testability testability);
 
-    /// Attempts to generate a test for one fault.  X inputs in the result
-    /// are filled with `x_fill` bits (deterministic; callers wanting random
-    /// fill pass their own bits).  When a budget is given, its cancel token
-    /// and deadline are checked at every backtrack (the unit of search
-    /// work); a budget stop aborts the search with `stop` set.
+    /// Attempts to generate a test for one fault.  X inputs in `test` are
+    /// filled with `x_fill` bits (deterministic; callers wanting random
+    /// fill pass their own bits).  The search itself never reads `x_fill`
+    /// and keeps no state from earlier calls: every field but `test` is a
+    /// function of the fault, the limit and the budget alone.  When a
+    /// budget is given, its cancel token and deadline are checked at every
+    /// backtrack (the unit of search work); a budget stop aborts the
+    /// search with `stop` set.
     PodemResult generate(const StuckAtFault& fault, int backtrack_limit,
                          std::uint64_t x_fill = 0,
                          const support::RunBudget* budget = nullptr);

@@ -20,10 +20,12 @@ TransitionTestResult generate_transition_tests(
     TransitionFaultSimulator sim(circuit, std::move(faults));
     gatesim::RandomPatternGenerator rng(options.seed);
 
-    // Phase 1: random vectors; consecutive vectors form the pairs.
+    // Phase 1: random vectors; consecutive vectors form the pairs.  It
+    // ends after the block that completes coverage.
     int barren = 0;
+    std::size_t covered = 0;
     while (result.random_count < options.max_random &&
-           barren < options.stale_blocks) {
+           barren < options.stale_blocks && covered < sim.faults().size()) {
         const int take = std::min(options.random_block,
                                   options.max_random - result.random_count);
         const auto block = rng.vectors(circuit, take);
@@ -31,9 +33,8 @@ TransitionTestResult generate_transition_tests(
         result.vectors.insert(result.vectors.end(), block.begin(),
                               block.end());
         result.random_count += take;
+        covered += static_cast<std::size_t>(found);
         barren = found == 0 ? barren + 1 : 0;
-        if (found > 0 && static_cast<size_t>(found) == sim.faults().size())
-            break;
     }
 
     // Phase 2: deterministic pairs via PODEM.

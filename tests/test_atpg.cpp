@@ -1,8 +1,14 @@
 // Tests for SCOAP testability, PODEM and the test-set generator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdio>
+#include <map>
+#include <string>
+#include <utility>
 
+#include "analysis/untestable.h"
 #include "atpg/generate.h"
 #include "atpg/compaction.h"
 #include "atpg/transition_tpg.h"
@@ -10,7 +16,7 @@
 #include "gatesim/patterns.h"
 #include "netlist/builders.h"
 #include "netlist/techmap.h"
-#include "podem_reference.h"
+#include "obs/telemetry.h"
 
 namespace dlp::atpg {
 namespace {
@@ -132,60 +138,73 @@ INSTANTIATE_TEST_SUITE_P(
                               netlist::build_random_circuit(10, 60, 21));
                       }));
 
-// ---- differential oracle: event-driven PODEM vs full re-simulation --------
+// ---- pinned PodemResult digests ---------------------------------------------
 
-/// Runs both PODEMs on `faults` and requires identical results.  The
-/// production search may only do less gate work than re-simulating every
-/// gate on every implication.  Returns how many searches ended in each
-/// status, indexed by PodemResult::Status.
-std::array<int, 3> expect_same_as_reference(
-    const Circuit& c, const std::vector<StuckAtFault>& faults,
-    int backtrack_limit, const support::RunBudget* budget = nullptr) {
+/// FNV-1a over every PodemResult field of one search per fault: status,
+/// test, backtracks, implications, gate_evals and stop.  The x-fill word
+/// cycles through four patterns by fault index.  `outcomes` counts the
+/// searches ending in each status, indexed by PodemResult::Status.
+std::string podem_digest(const Circuit& c,
+                         const std::vector<StuckAtFault>& faults,
+                         int backtrack_limit, std::array<int, 3>& outcomes,
+                         const support::RunBudget* budget = nullptr) {
     static constexpr std::uint64_t kFills[] = {
         0, ~0ULL, 0x5555555555555555ULL, 0x9e3779b97f4a7c15ULL};
-    const Testability t = compute_testability(c);
-    Podem podem(c, t);
-    reference::ReferencePodem ref(c, t);
-    std::array<int, 3> outcomes{};
+    std::uint64_t h = 1469598103934665603ULL;
+    const auto mix = [&h](std::int64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= static_cast<std::uint64_t>(v >> (8 * b)) & 0xff;
+            h *= 1099511628211ULL;
+        }
+    };
+    Podem podem(c, compute_testability(c));
     for (size_t i = 0; i < faults.size(); ++i) {
-        const StuckAtFault& f = faults[i];
-        const std::uint64_t fill = kFills[i % std::size(kFills)];
-        const PodemResult got =
-            podem.generate(f, backtrack_limit, fill, budget);
-        const PodemResult want =
-            ref.generate(f, backtrack_limit, fill, budget);
-        const std::string what = c.name() + " " + gatesim::fault_name(c, f);
-        EXPECT_EQ(got.status, want.status) << what;
-        EXPECT_EQ(got.test, want.test) << what;
-        EXPECT_EQ(got.backtracks, want.backtracks) << what;
-        EXPECT_EQ(got.implications, want.implications) << what;
-        EXPECT_EQ(got.stop, want.stop) << what;
-        EXPECT_GT(got.gate_evals, 0) << what;
-        EXPECT_LE(got.gate_evals, want.gate_evals) << what;
-        ++outcomes[static_cast<size_t>(got.status)];
+        const PodemResult r =
+            podem.generate(faults[i], backtrack_limit,
+                           kFills[i % std::size(kFills)], budget);
+        mix(static_cast<std::int64_t>(r.status));
+        mix(static_cast<std::int64_t>(r.test.size()));
+        for (bool bit : r.test) mix(bit);
+        mix(r.backtracks);
+        mix(r.implications);
+        mix(r.gate_evals);
+        mix(static_cast<std::int64_t>(r.stop));
+        ++outcomes[static_cast<size_t>(r.status)];
     }
-    return outcomes;
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return hex;
 }
 
 std::vector<StuckAtFault> collapsed(const Circuit& c) {
     return collapse_faults(c, full_fault_universe(c));
 }
 
-TEST(PodemDifferential, EveryCollapsedFaultOfSmallCircuits) {
+// The digests were pinned from the event-driven search while it was still
+// checked against a full-resimulation PODEM, which it matched in every
+// field but gate_evals (there it may only do less).  A moved digest means
+// a search now decides differently or does different work.
+
+TEST(PodemDigest, EveryCollapsedFaultOfSmallCircuits) {
+    const std::pair<Circuit, const char*> cases[] = {
+        {build_c17(), "7f25d35b5d157c13"},
+        {build_c432(), "a330852987a54b6e"},
+        {build_ripple_adder(4), "214fa5171fe91354"},
+        {netlist::techmap(netlist::build_random_circuit(10, 60, 21)),
+         "320bf174b9ed56d9"},
+    };
     std::array<int, 3> total{};
-    for (const Circuit& c :
-         {build_c17(), build_c432(), build_ripple_adder(4),
-          netlist::techmap(netlist::build_random_circuit(10, 60, 21))}) {
-        const auto outcomes = expect_same_as_reference(c, collapsed(c), 1024);
-        for (size_t s = 0; s < total.size(); ++s) total[s] += outcomes[s];
-    }
+    for (const auto& [c, pin] : cases)
+        EXPECT_EQ(podem_digest(c, collapsed(c), 1024, total), pin)
+            << c.name();
     // c432 aborts at this limit; the random circuit has redundant faults.
     for (int n : total) EXPECT_GT(n, 0);
 }
 
-TEST(PodemDifferential, StemAndBranchFaultsOnRandom500) {
-    // Every collapsed fault would take minutes in the reference; a strided
-    // sample at a low backtrack limit still reaches aborts and redundancy.
+TEST(PodemDigest, StemAndBranchFaultsOnRandom500) {
+    // A strided sample at a low backtrack limit still reaches aborts and
+    // redundancy.
     const Circuit c = netlist::build_random_circuit(32, 500, 7);
     const auto all = collapsed(c);
     std::vector<StuckAtFault> sample;
@@ -195,20 +214,78 @@ TEST(PodemDifferential, StemAndBranchFaultsOnRandom500) {
     for (const auto& f : sample) (f.is_stem() ? stems : branches) += 1;
     ASSERT_GT(stems, 0);
     ASSERT_GT(branches, 0);
-    for (int n : expect_same_as_reference(c, sample, 256)) EXPECT_GT(n, 0);
+    std::array<int, 3> outcomes{};
+    EXPECT_EQ(podem_digest(c, sample, 256, outcomes), "6009f969d00ebd15");
+    for (int n : outcomes) EXPECT_GT(n, 0);
 }
 
-TEST(PodemDifferential, BudgetCancelledSearch) {
-    // A cancelled budget stops both searches at their first backtrack (so
-    // before the limit), with the same partial effort and stop reason.
+TEST(PodemDigest, BudgetCancelledSearch) {
+    // A cancelled budget stops a search at its first backtrack (so before
+    // the limit), with its partial effort and the stop reason.
     const Circuit c = netlist::build_random_circuit(32, 500, 7);
     support::RunBudget budget;
     budget.cancel.request();
     const auto all = collapsed(c);
     const std::vector<StuckAtFault> sample(all.begin(), all.begin() + 40);
-    const auto outcomes = expect_same_as_reference(c, sample, 256, &budget);
+    std::array<int, 3> outcomes{};
+    EXPECT_EQ(podem_digest(c, sample, 256, outcomes, &budget),
+              "34573b2ba7c62923");
     EXPECT_GT(outcomes[static_cast<size_t>(PodemResult::Status::Aborted)], 0)
         << "no sampled search reached a backtrack";
+}
+
+TEST(Podem, SearchHasNoHistory) {
+    // A search reads only its fault: on a fresh object, in reverse order on
+    // one object, or alternating between two, every fault gets the same
+    // cube and the same effort, whatever x-fill word it is given.
+    const Circuit c = netlist::build_random_circuit(32, 500, 7);
+    const Testability t = compute_testability(c);
+    const auto all = collapsed(c);
+    std::vector<StuckAtFault> sample;
+    for (size_t i = 0; i < all.size(); i += 17) sample.push_back(all[i]);
+    const size_t n = sample.size();
+    constexpr int kLimit = 256;
+
+    std::vector<PodemResult> fresh;
+    for (const auto& f : sample) {
+        Podem podem(c, t);
+        fresh.push_back(podem.generate(f, kLimit, 0));
+    }
+    std::vector<PodemResult> reverse(n);
+    {
+        Podem podem(c, t);
+        for (size_t i = n; i-- > 0;)
+            reverse[i] = podem.generate(sample[i], kLimit, ~0ULL);
+    }
+    std::vector<PodemResult> interleaved(n);
+    {
+        Podem even(c, t);
+        Podem odd(c, t);
+        constexpr std::uint64_t kFill = 0x9e3779b97f4a7c15ULL;
+        for (size_t i = 0; i < n; ++i)
+            interleaved[i] =
+                (i % 2 ? odd : even).generate(sample[i], kLimit, kFill);
+    }
+
+    std::array<int, 3> outcomes{};
+    for (size_t i = 0; i < n; ++i) {
+        const std::string what = gatesim::fault_name(c, sample[i]);
+        const PodemResult& want = fresh[i];
+        ++outcomes[static_cast<size_t>(want.status)];
+        for (const PodemResult* got : {&reverse[i], &interleaved[i]}) {
+            EXPECT_EQ(got->status, want.status) << what;
+            EXPECT_EQ(got->cube, want.cube) << what;
+            EXPECT_EQ(got->backtracks, want.backtracks) << what;
+            EXPECT_EQ(got->implications, want.implications) << what;
+            EXPECT_EQ(got->gate_evals, want.gate_evals) << what;
+            EXPECT_EQ(got->stop, want.stop) << what;
+        }
+        if (want.status == PodemResult::Status::TestFound) {
+            EXPECT_EQ(want.test, fill_cube(want.cube, 0)) << what;
+            EXPECT_EQ(reverse[i].test, fill_cube(want.cube, ~0ULL)) << what;
+        }
+    }
+    for (int k : outcomes) EXPECT_GT(k, 0);
 }
 
 TEST(Generate, ReachesFullCoverageOnC432) {
@@ -301,6 +378,26 @@ TEST(TransitionTpg, DeterministicInSeed) {
     EXPECT_EQ(a.detected, b.detected);
 }
 
+TEST(TransitionTpg, StopsAfterTheBlockThatCompletesCoverage) {
+    // Random blocks keep coming only while faults remain: once coverage is
+    // complete, no barren block follows.
+    constexpr int kBlock = 8;
+    for (const Circuit& c : {build_c17(), build_ripple_adder(4)}) {
+        auto faults = gatesim::full_transition_universe(c);
+        TransitionTestOptions opt;
+        opt.seed = 5;
+        opt.random_block = kBlock;
+        const auto res = generate_transition_tests(c, faults, opt);
+        ASSERT_EQ(res.detected, faults.size()) << c.name();
+        EXPECT_EQ(res.pair_count, 0) << c.name();
+        const int last = *std::max_element(res.first_detected_at.begin(),
+                                           res.first_detected_at.end());
+        EXPECT_EQ((res.random_count - 1) / kBlock, (last - 1) / kBlock)
+            << c.name() << ": covered at vector " << last << " of "
+            << res.random_count;
+    }
+}
+
 TEST(Compaction, PreservesCoverageAndShrinks) {
     const Circuit c = netlist::techmap(build_c432());
     auto faults = collapse_faults(c, full_fault_universe(c));
@@ -336,6 +433,123 @@ TEST(Compaction, KeepsOrderAndHandlesTinySets) {
     }
     const auto empty = compact_reverse(c, faults, {});
     EXPECT_EQ(empty.kept, 0u);
+}
+
+// ---- parallel PODEM targets ------------------------------------------------
+
+struct GenRun {
+    TestGenResult res;
+    std::map<std::string, long long> atpg;  ///< every atpg.* counter
+};
+
+GenRun generate_at(const Circuit& c, const std::vector<StuckAtFault>& faults,
+                   TestGenOptions opt, int threads) {
+    opt.parallel.threads = threads;
+    obs::reset();
+    obs::set_enabled(true);
+    GenRun run{generate_test_set(c, faults, opt), {}};
+    for (const auto& [name, value] : obs::counters_snapshot())
+        if (name.rfind("atpg.", 0) == 0) run.atpg[name] = value;
+    obs::set_enabled(false);
+    obs::reset();
+    return run;
+}
+
+void expect_same_run(const GenRun& got, const GenRun& want) {
+    EXPECT_EQ(got.res.vectors, want.res.vectors);
+    EXPECT_EQ(got.res.random_count, want.res.random_count);
+    EXPECT_EQ(got.res.deterministic_count, want.res.deterministic_count);
+    EXPECT_EQ(got.res.first_detected_at, want.res.first_detected_at);
+    EXPECT_EQ(got.res.status, want.res.status);
+    EXPECT_EQ(got.res.detected, want.res.detected);
+    EXPECT_EQ(got.res.redundant, want.res.redundant);
+    EXPECT_EQ(got.res.aborted, want.res.aborted);
+    EXPECT_EQ(got.res.untargeted, want.res.untargeted);
+    EXPECT_EQ(got.res.stop, want.res.stop);
+    EXPECT_EQ(got.atpg, want.atpg);
+}
+
+class ParallelDeterminism : public ::testing::Test {
+protected:
+    // Small enough that every fault can go through PODEM, large enough
+    // that a low backtrack limit aborts.
+    const Circuit c_ = netlist::build_random_circuit(24, 300, 11);
+    const std::vector<StuckAtFault> faults_ = collapsed(c_);
+
+    TestGenOptions options() const {
+        TestGenOptions opt;
+        opt.seed = 3;
+        opt.backtrack_limit = 16;
+        return opt;
+    }
+
+    /// Runs at 1 thread, then requires 2, 4 and 8 threads to match it.
+    GenRun expect_thread_count_invariant(const TestGenOptions& opt) {
+        const GenRun serial = generate_at(c_, faults_, opt, 1);
+        for (int threads : {2, 4, 8}) {
+            SCOPED_TRACE(threads);
+            expect_same_run(generate_at(c_, faults_, opt, threads), serial);
+        }
+        return serial;
+    }
+};
+
+TEST_F(ParallelDeterminism, GenerateWithAborts) {
+    const GenRun serial = expect_thread_count_invariant(options());
+    EXPECT_GT(serial.res.aborted, 0u);
+    EXPECT_GT(serial.res.deterministic_count, 0);
+}
+
+TEST_F(ParallelDeterminism, GenerateWithAnalysisMarks) {
+    TestGenOptions opt = options();
+    opt.untestable = analysis::find_untestable(c_, faults_).untestable;
+    const auto marked = static_cast<size_t>(
+        std::count(opt.untestable.begin(), opt.untestable.end(), 1));
+    ASSERT_GT(marked, 0u);
+    const GenRun serial = expect_thread_count_invariant(opt);
+    EXPECT_GE(serial.res.redundant, marked);
+}
+
+TEST_F(ParallelDeterminism, GenerateWithoutRandomPhase) {
+    // Every fault goes through PODEM, so commits drop most speculative
+    // searches: the first vectors detect many later targets.
+    TestGenOptions opt = options();
+    opt.max_random = 0;
+    const GenRun serial = expect_thread_count_invariant(opt);
+    EXPECT_EQ(serial.res.random_count, 0);
+    EXPECT_LT(serial.atpg.at("atpg.targets"),
+              static_cast<long long>(faults_.size()) / 2);
+}
+
+TEST_F(ParallelDeterminism, VectorCapIsPrefixOfUnboundedRun) {
+    TestGenOptions opt = options();
+    opt.max_random = 64;
+    const GenRun full = generate_at(c_, faults_, opt, 4);
+    ASSERT_GT(full.res.deterministic_count, 4);
+    opt.budget.max_vectors =
+        full.res.random_count + full.res.deterministic_count / 2;
+    const GenRun capped = generate_at(c_, faults_, opt, 4);
+    EXPECT_EQ(capped.res.stop, support::StopReason::VectorBudget);
+    ASSERT_EQ(capped.res.vectors.size(),
+              static_cast<size_t>(opt.budget.max_vectors));
+    EXPECT_TRUE(std::equal(capped.res.vectors.begin(),
+                           capped.res.vectors.end(),
+                           full.res.vectors.begin()));
+    EXPECT_GT(capped.res.untargeted, 0u);
+    EXPECT_EQ(capped.res.untargeted + capped.res.detected +
+                  capped.res.redundant + capped.res.aborted,
+              faults_.size());
+}
+
+TEST_F(ParallelDeterminism, CancelledBudgetTargetsNothing) {
+    TestGenOptions opt = options();
+    opt.max_random = 0;
+    opt.budget.cancel.request();
+    const GenRun run = generate_at(c_, faults_, opt, 4);
+    EXPECT_EQ(run.res.stop, support::StopReason::Cancelled);
+    EXPECT_TRUE(run.res.vectors.empty());
+    EXPECT_EQ(run.atpg.at("atpg.targets"), 0);
+    EXPECT_EQ(run.res.untargeted, faults_.size());
 }
 
 }  // namespace
