@@ -20,10 +20,13 @@
 // the exact cone-aware difference propagation — the same computation
 // check_proof performs independently.
 //
-// Determinism and interruption: pivots are processed in net-id order and
-// the budget is checked at pivot boundaries only, so a cancelled or
-// deadline-stopped run yields proofs that are an exact prefix of the
-// unbounded run's (the support/cancel.h contract).
+// Parallelism, determinism and interruption: a pivot's closures and
+// verdicts depend only on the circuit, so pivots are searched on every
+// worker and committed strictly in net-id order, the first proving pivot
+// winning a fault (docs/ANALYSIS.md, "Pivots in parallel").  The budget
+// is checked at pivot claims only, so a cancelled or deadline-stopped run
+// yields proofs that are an exact prefix of the unbounded run's (the
+// support/cancel.h contract).  Results do not depend on the worker count.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +35,7 @@
 
 #include "analysis/proof.h"
 #include "gatesim/faults.h"
+#include "parallel/parallel_for.h"
 #include "support/cancel.h"
 
 namespace dlp::analysis {
@@ -42,8 +46,11 @@ struct AnalysisOptions {
     bool learn = true;
     /// Case splits per closure when learning is on.
     int learn_limit = 32;
-    /// Cancel token / deadline, checked at pivot boundaries.
+    /// Cancel token / deadline, checked at pivot claims.
     support::RunBudget budget;
+    /// Worker count (0 = default) for the pivot search; the proofs, the
+    /// marks and the stats do not depend on it.
+    parallel::ParallelOptions parallel;
 };
 
 struct AnalysisStats {

@@ -330,6 +330,7 @@ const ExperimentRunner::AnalysisData& ExperimentRunner::analyze() {
                             p.mapped, gatesim::full_fault_universe(p.mapped));
         analysis::AnalysisOptions opts = options_.analysis_options;
         opts.budget = options_.budget;
+        opts.parallel = options_.parallel;
         analysis::AnalysisResult r =
             analysis::find_untestable(p.mapped, a.stuck, opts);
         a.untestable = std::move(r.untestable);

@@ -74,7 +74,8 @@ struct ExperimentOptions {
     /// the paper's silent bias.  DLPROJ_ANALYSIS=0/off disables the stage
     /// process-wide when this flag is left true.
     bool analysis = false;
-    /// Knobs for the analysis stage (its budget is overridden by `budget`).
+    /// Knobs for the analysis stage (its budget and worker count are
+    /// overridden by `budget` and `parallel`).
     analysis::AnalysisOptions analysis_options;
     /// Defect-count statistics backend for the DL/yield projections
     /// (model/defect_stats_model.h).  Default Poisson — exactly the paper.

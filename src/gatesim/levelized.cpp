@@ -293,14 +293,10 @@ support::ApplyResult LevelizedFaultSimulator::apply(
         result.stop = support::StopReason::VectorBudget;
     }
 
+    // A worker's scratch is built the first time it runs a chunk: a call
+    // made inside another parallel region runs inline on worker 0 only.
     const int workers = parallel::resolve_threads(parallel_);
     std::vector<Scratch> scratch(static_cast<std::size_t>(workers));
-    for (Scratch& s : scratch) {
-        s.value.assign(lc_.net_count, 0);
-        s.stamp.assign(lc_.net_count, 0);
-        s.queued.assign(lc_.net_count, 0);
-        s.bucket.resize(static_cast<std::size_t>(lc_.depth) + 1);
-    }
     const std::size_t grain = std::max<std::size_t>(
         16, faults_.size() / (static_cast<std::size_t>(workers) * 8));
 
@@ -333,6 +329,12 @@ support::ApplyResult LevelizedFaultSimulator::apply(
             faults_.size(), grain,
             [&](std::size_t fb, std::size_t fe, int w) {
                 Scratch& s = scratch[static_cast<std::size_t>(w)];
+                if (s.bucket.empty()) {
+                    s.value.assign(lc_.net_count, 0);
+                    s.stamp.assign(lc_.net_count, 0);
+                    s.queued.assign(lc_.net_count, 0);
+                    s.bucket.resize(static_cast<std::size_t>(lc_.depth) + 1);
+                }
                 for (std::size_t fi = fb; fi < fe; ++fi) {
                     if (counts_[fi] >= ndetect_) continue;  // fault dropping
                     if (!untestable_.empty() && untestable_[fi])

@@ -413,6 +413,36 @@ TEST_F(ObsTest, AtpgCountersAreReproducible) {
     EXPECT_EQ(first, run());
 }
 
+TEST_F(ObsTest, AnalysisCountersEqualAcrossThreadCountsOnRand500) {
+    // The analysis counters are added as pivots commit, in pivot order, so
+    // they match the stage's stats at any worker count.
+    const auto circuit = netlist::build_random_circuit(32, 500, 7);
+    const auto run = [&](int threads) {
+        flow::ExperimentOptions opt;
+        opt.analysis = true;
+        opt.parallel.threads = threads;
+        flow::ExperimentRunner runner(circuit, opt);
+        runner.prepare();
+        obs::reset();
+        const auto& stats = runner.analyze().stats;
+        const auto counters = counters_by_prefix("analysis.");
+        EXPECT_EQ(counters.at("analysis.pivots"),
+                  static_cast<long long>(stats.pivots_done));
+        EXPECT_EQ(counters.at("analysis.implications"),
+                  static_cast<long long>(stats.implications));
+        EXPECT_EQ(counters.at("analysis.learned"),
+                  static_cast<long long>(stats.learned));
+        EXPECT_EQ(counters.at("analysis.constant_lines"),
+                  static_cast<long long>(stats.constant_lines));
+        EXPECT_EQ(counters.at("analysis.proofs"),
+                  static_cast<long long>(stats.proofs));
+        return counters;
+    };
+    const auto serial = run(1);
+    EXPECT_GT(serial.at("analysis.proofs"), 0);
+    EXPECT_EQ(serial, run(4));
+}
+
 // ---- zero overhead when disabled -----------------------------------------
 
 TEST_F(ObsTest, DisabledHotPathDoesNotAllocate) {
