@@ -224,8 +224,10 @@ bool ImplicationEngine::learn_round(int& splits_left) {
 
         std::vector<ProofStep> chain0;
         std::vector<ProofStep> chain1;
-        std::vector<Literal> derived0;
-        std::vector<Literal> derived1;
+        std::vector<Literal>& derived0 = derived_[0];
+        std::vector<Literal>& derived1 = derived_[1];
+        derived0.clear();
+        derived1.clear();
         const bool conflict0 = run_branch(split, false, chain0, derived0);
         const bool conflict1 = run_branch(split, true, chain1, derived1);
 
@@ -242,30 +244,24 @@ bool ImplicationEngine::learn_round(int& splits_left) {
             return true;
         }
 
-        std::vector<Literal> learned;
-        if (conflict0) {
-            learned = std::move(derived1);
-        } else if (conflict1) {
-            learned = std::move(derived0);
-        } else {
-            for (const Literal& l : derived0)
-                if (std::find(derived1.begin(), derived1.end(), l) !=
-                    derived1.end())
-                    learned.push_back(l);
-        }
         // One batched step for the whole split: every literal it
-        // establishes shares the two branch derivations.
+        // establishes shares the two branch derivations.  With one half
+        // refuted the other half's literals hold, else those both derive.
         ProofStep step;
         step.kind = StepKind::Learned;
         step.split = split;
-        for (const Literal& l : learned)
-            if (!assigned(l.net)) step.lits.push_back(l);
+        const bool both = !conflict0 && !conflict1;
+        for (const Literal& l : conflict0 ? derived1 : derived0)
+            if (!assigned(l.net) &&
+                (!both || std::find(derived1.begin(), derived1.end(), l) !=
+                              derived1.end()))
+                step.lits.push_back(l);
         if (step.lits.empty()) continue;
         step.branch0 = std::move(chain0);
         step.branch1 = std::move(chain1);
-        const std::vector<Literal> lits = step.lits;
         chain_->push_back(std::move(step));
-        for (const Literal& l : lits) {
+        // assign_nostep leaves chain_ alone, so the step stays in place.
+        for (const Literal& l : chain_->back().lits) {
             ++learned_;
             if (!assign_nostep(l)) {
                 conflict_ = true;  // unreachable: branches saw the context
@@ -302,14 +298,15 @@ bool ImplicationEngine::run_branch(NetId split, bool v,
     return !ok;
 }
 
-Closure ImplicationEngine::close(Literal assumption) {
+void ImplicationEngine::close(Literal assumption, Closure& out) {
     ++epoch_;
     trail_.clear();
     queue_.clear();
     qhead_ = 0;
     conflict_ = false;
 
-    Closure out;
+    out.chain.clear();
+    out.forced.clear();
     chain_ = &out.chain;
     ProofStep assume;
     assume.kind = StepKind::Assume;
@@ -323,11 +320,9 @@ Closure ImplicationEngine::close(Literal assumption) {
         }
     }
     out.conflict = conflict_;
-    out.forced.reserve(trail_.size());
     for (const NetId n : trail_)
         out.forced.push_back(Literal{n, value(n)});
     chain_ = nullptr;
-    return out;
 }
 
 }  // namespace dlp::analysis

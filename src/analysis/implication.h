@@ -47,9 +47,9 @@ public:
         : ImplicationEngine(lc, Options()) {}
     ImplicationEngine(const gatesim::LevelizedCircuit& lc, Options options);
 
-    /// Implication closure of `assumption`; deterministic for a fixed
-    /// circuit and options.
-    Closure close(Literal assumption);
+    /// Implication closure of `assumption` into `out`, whose buffers are
+    /// reused; deterministic for a fixed circuit and options.
+    void close(Literal assumption, Closure& out);
 
     /// Literals derived across all closures so far (telemetry).
     std::uint64_t implications() const { return implications_; }
@@ -97,6 +97,7 @@ private:
     std::vector<NetId> queue_;  ///< gates pending propagation
     std::size_t qhead_ = 0;     ///< next queue_ entry to propagate
     std::vector<ProofStep>* chain_ = nullptr;  ///< current derivation sink
+    std::vector<Literal> derived_[2];  ///< a split's branch literals
     bool conflict_ = false;
 
     std::uint64_t implications_ = 0;

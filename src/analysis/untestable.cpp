@@ -228,13 +228,16 @@ BranchEvidence make_evidence(
     return e;
 }
 
-/// One worker's scratch: its own engine, the two branch views and the
-/// difference set of the exact blocking check.
+/// One worker's scratch: its own engine, the two closures it refills
+/// for every pivot, the two branch views and the difference set of the
+/// exact blocking check.
 struct Worker {
     Worker(const LevelizedCircuit& lc, ImplicationEngine::Options options)
         : engine(lc, options), in_d(lc.net_count) {}
 
     ImplicationEngine engine;
+    Closure c0;
+    Closure c1;
     BranchState b0;
     BranchState b1;
     NetSet in_d;
@@ -265,8 +268,10 @@ PivotResult search_pivot(const LevelizedCircuit& lc,
     PivotResult out;
     const std::uint64_t implications = w.engine.implications();
     const std::uint64_t learned = w.engine.learned();
-    Closure c0 = w.engine.close(Literal{pivot, false});
-    Closure c1 = w.engine.close(Literal{pivot, true});
+    w.engine.close(Literal{pivot, false}, w.c0);
+    w.engine.close(Literal{pivot, true}, w.c1);
+    const Closure& c0 = w.c0;
+    const Closure& c1 = w.c1;
     out.implications = w.engine.implications() - implications;
     out.learned = w.engine.learned() - learned;
     out.constant_line = c0.conflict || c1.conflict;
@@ -281,7 +286,8 @@ PivotResult search_pivot(const LevelizedCircuit& lc,
     BranchState& b1 = w.b1;
     build_branch(lc, c0, b0);
     build_branch(lc, c1, b1);
-    // Shared per-pivot chains, materialized only if a proof lands.
+    // Shared per-pivot chains, copied out of the worker's closures (to
+    // their exact size) only if a proof lands.
     std::shared_ptr<const std::vector<ProofStep>> chain0;
     std::shared_ptr<const std::vector<ProofStep>> chain1;
 
@@ -305,10 +311,8 @@ PivotResult search_pivot(const LevelizedCircuit& lc,
             continue;
 
         if (!chain0) {
-            chain0 = std::make_shared<const std::vector<ProofStep>>(
-                std::move(c0.chain));
-            chain1 = std::make_shared<const std::vector<ProofStep>>(
-                std::move(c1.chain));
+            chain0 = std::make_shared<const std::vector<ProofStep>>(c0.chain);
+            chain1 = std::make_shared<const std::vector<ProofStep>>(c1.chain);
         }
         UntestableProof proof;
         proof.fault = f;

@@ -464,6 +464,13 @@ const ExperimentRunner::SimulationData& ExperimentRunner::simulate() {
                     std::string(support::stop_reason_name(d.stop)) + " at " +
                     std::to_string(d.vectors_done) + "/" +
                     std::to_string(d.vectors_total) + " vectors");
+        // A loop that did not settle within SimParams::max_sweeps left its
+        // last value standing: say so, as a stop is said.
+        if (swsim.cap_hits() > 0)
+            DLP_OBS_SPAN_NOTE(stage_span,
+                              "max_sweeps cap hit " +
+                                  std::to_string(swsim.cap_hits()) +
+                                  " times: some loops did not settle");
         sim_data_ = std::move(d);
     }
     return *sim_data_;

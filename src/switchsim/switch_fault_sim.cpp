@@ -10,6 +10,14 @@
 
 namespace dlp::switchsim {
 
+namespace {
+
+/// Rows a seed unit's store holds before it grows on a worker: c432
+/// builds 21,704 rows over a 1287-vector run, about three per fault.
+constexpr size_t kReservedRows = 4;
+
+}  // namespace
+
 SwitchFaultSimulator::SwitchFaultSimulator(const SwitchSim& sim,
                                            std::vector<WeightedFault> faults,
                                            parallel::ParallelOptions parallel)
@@ -54,6 +62,37 @@ SwitchFaultSimulator::SwitchFaultSimulator(const SwitchSim& sim,
             case SwitchFault::Kind::None:
                 break;
         }
+
+        // Seed units: the merged group solves as one, any other seed
+        // component alone.  Their read sets and row stores are made here,
+        // on the constructing thread, so the rows workers fill stay in
+        // this thread's heap rather than in per-thread malloc arenas.
+        pf.unit_begin = static_cast<std::uint32_t>(units_.size());
+        SwitchSim::FaultView fv;
+        fv.fault = &f;
+        const auto add_unit = [&](std::span<const std::int32_t> group) {
+            SeedUnit u;
+            u.comp = group[0];
+            const std::vector<NodeId> reads = sim.solve_reads(group, fv);
+            if (reads.size() <= static_cast<size_t>(kMaxRowReads)) {
+                size_t nodes = 0;
+                for (std::int32_t c : group)
+                    nodes += sim.component_nodes(c).size();
+                u.read_count = static_cast<std::int32_t>(reads.size());
+                u.read_begin = static_cast<std::uint32_t>(unit_reads_.size());
+                u.stride = static_cast<std::uint32_t>(1 + (nodes + 7) / 8);
+                unit_reads_.insert(unit_reads_.end(), reads.begin(),
+                                   reads.end());
+                u.rows.reserve(kReservedRows * u.stride);
+            }
+            units_.push_back(std::move(u));
+        };
+        if (!pf.merged.empty())
+            add_unit(pf.merged);
+        else
+            for (const std::int32_t& c : pf.seed_comps)
+                add_unit(std::span(&c, 1));
+        pf.unit_end = static_cast<std::uint32_t>(units_.size());
     }
     compile_components();
 
@@ -255,15 +294,14 @@ void SwitchFaultSimulator::simulate_fault(std::size_t fi, int vector_index,
     }
 
     // Drain in level order; a component is re-queued only when a node it
-    // reads changes.  Only the fault's own seed components (which hold the
-    // merged group) need the solver: every other component is fault-free,
-    // and its compiled table is a pure function of gate values and prev.
+    // reads changes.  Only the fault's own seed units (one holds the
+    // merged group) need the solver, once per distinct row of their read
+    // set: every other component is fault-free, and its compiled table is
+    // a pure function of gate values and prev.
     const int cap = sim_->params().max_sweeps;
     std::vector<SV>& before = s.before;
-    const auto is_seed = [&](std::int32_t c) {
-        return std::find(pf.seed_comps.begin(), pf.seed_comps.end(), c) !=
-               pf.seed_comps.end();
-    };
+    const std::span<SeedUnit> units =
+        std::span(units_).subspan(pf.unit_begin, pf.unit_end - pf.unit_begin);
     while (lo <= hi) {
         auto& bucket = s.bucket[static_cast<size_t>(lo)];
         if (bucket.empty()) {
@@ -283,16 +321,28 @@ void SwitchFaultSimulator::simulate_fault(std::size_t fi, int vector_index,
         }
         ++s.visits[static_cast<size_t>(c)];
 
-        if (sim_->table_of(c) >= 0 && !is_seed(c)) {
-            ++s.table_hits;
-            const std::uint8_t* row = sim_->table_row(c, cur);
-            for (NodeId v : sim_->component_nodes(c)) {
-                const size_t i = static_cast<size_t>(v);
-                const SV nv = SwitchSim::table_value(*row++, prev[i]);
-                if (nv == cur[i]) continue;
-                cur[i] = nv;
-                notify_readers(v);
+        SeedUnit* unit = nullptr;
+        for (SeedUnit& u : units)
+            if (u.comp == c) {
+                unit = &u;
+                break;
             }
+        const std::uint8_t* row = nullptr;
+        if (!unit && sim_->table_of(c) >= 0) {
+            ++s.table_hits;
+            row = sim_->table_row(c, cur);
+        } else if (unit && unit->read_count >= 0) {
+            row = unit_row(*unit, group, s, fv);
+        }
+        if (row) {
+            for (std::int32_t gc : group)
+                for (NodeId v : sim_->component_nodes(gc)) {
+                    const size_t i = static_cast<size_t>(v);
+                    const SV nv = SwitchSim::table_value(*row++, prev[i]);
+                    if (nv == cur[i]) continue;
+                    cur[i] = nv;
+                    notify_readers(v);
+                }
             continue;
         }
         ++s.solves;
@@ -337,7 +387,64 @@ void SwitchFaultSimulator::simulate_fault(std::size_t fi, int vector_index,
             if (n != SwitchNetlist::kGnd && n != SwitchNetlist::kVdd)
                 scan_node(n);
 
-    if (detected) detected_at_[fi] = vector_index;
+    if (detected) {
+        detected_at_[fi] = vector_index;
+        for (SeedUnit& u : units) std::vector<std::uint64_t>().swap(u.rows);
+    }
+}
+
+const std::uint8_t* SwitchFaultSimulator::unit_row(
+    SeedUnit& unit, std::span<const std::int32_t> group, Scratch& s,
+    const SwitchSim::FaultView& fv) const {
+    SwitchSim::State& cur = s.cur;
+    SwitchSim::State& prev = s.prev;
+    std::uint64_t key = 0;
+    for (std::int32_t i = unit.read_count; i-- > 0;)
+        key = 3 * key +
+              static_cast<std::uint64_t>(cur[static_cast<size_t>(
+                  unit_reads_[unit.read_begin + static_cast<size_t>(i)])]);
+    std::vector<std::uint64_t>& rows = unit.rows;
+    for (size_t r = 0; r < rows.size(); r += unit.stride)
+        if (rows[r] == key) {
+            ++s.fault_row_hits;
+            return reinterpret_cast<const std::uint8_t*>(rows.data() + r + 1);
+        }
+
+    // A new row: solve it once per uniform prev value, each time from the
+    // group's current values (a self-gated group reads them), then put
+    // the group's cur and prev back.
+    ++s.fault_rows;
+    const size_t at = rows.size();
+    rows.resize(at + unit.stride, 0);
+    rows[at] = key;
+    auto* entry = reinterpret_cast<std::uint8_t*>(rows.data() + at + 1);
+    s.nodes.clear();
+    for (std::int32_t gc : group)
+        for (NodeId v : sim_->component_nodes(gc)) s.nodes.push_back(v);
+    s.before.clear();
+    s.before_prev.clear();
+    for (NodeId v : s.nodes) {
+        s.before.push_back(cur[static_cast<size_t>(v)]);
+        s.before_prev.push_back(prev[static_cast<size_t>(v)]);
+    }
+    for (const SV p : {SV::Zero, SV::One, SV::X}) {
+        for (size_t i = 0; i < s.nodes.size(); ++i) {
+            cur[static_cast<size_t>(s.nodes[i])] = s.before[i];
+            prev[static_cast<size_t>(s.nodes[i])] = p;
+        }
+        sim_->solve_component(cur, prev, group, fv);
+        ++s.solves;
+        const int shift = 2 * static_cast<int>(p);
+        for (size_t i = 0; i < s.nodes.size(); ++i)
+            entry[i] |= static_cast<std::uint8_t>(
+                static_cast<unsigned>(cur[static_cast<size_t>(s.nodes[i])])
+                << shift);
+    }
+    for (size_t i = 0; i < s.nodes.size(); ++i) {
+        cur[static_cast<size_t>(s.nodes[i])] = s.before[i];
+        prev[static_cast<size_t>(s.nodes[i])] = s.before_prev[i];
+    }
+    return entry;
 }
 
 int SwitchFaultSimulator::apply(std::span<const Vector> vectors) {
@@ -385,6 +492,8 @@ support::ApplyResult SwitchFaultSimulator::apply(
     DLP_OBS_COUNTER(c_dropped, "faultsim.switch.dropped");
     DLP_OBS_COUNTER(c_solves, "faultsim.switch.solves");
     DLP_OBS_COUNTER(c_table_hits, "faultsim.switch.table_hits");
+    DLP_OBS_COUNTER(c_fault_rows, "faultsim.switch.fault_rows");
+    DLP_OBS_COUNTER(c_fault_row_hits, "faultsim.switch.fault_row_hits");
     DLP_OBS_COUNTER(c_good_solves, "faultsim.switch.good_solves");
     DLP_OBS_COUNTER(c_restarts, "faultsim.switch.loop_restarts");
     DLP_OBS_COUNTER(c_cap_hits, "faultsim.switch.cap_hits");
@@ -463,17 +572,23 @@ support::ApplyResult SwitchFaultSimulator::apply(
         // summed solver counters are thread-count-invariant.
         long long solves = 0;
         long long table_hits = 0;
+        long long fault_rows = 0;
+        long long fault_row_hits = 0;
         long long restarts = 0;
         long long cap_hits = 0;
         for (Scratch& ws : scratch) {
             solves += std::exchange(ws.solves, 0);
             table_hits += std::exchange(ws.table_hits, 0);
+            fault_rows += std::exchange(ws.fault_rows, 0);
+            fault_row_hits += std::exchange(ws.fault_row_hits, 0);
             restarts += std::exchange(ws.loop_restarts, 0);
             cap_hits += std::exchange(ws.cap_hits, 0);
         }
         cap_hits_ += cap_hits;
         DLP_OBS_ADD(c_solves, solves);
         DLP_OBS_ADD(c_table_hits, table_hits);
+        DLP_OBS_ADD(c_fault_rows, fault_rows);
+        DLP_OBS_ADD(c_fault_row_hits, fault_row_hits);
         DLP_OBS_ADD(c_restarts, restarts);
         DLP_OBS_ADD(c_cap_hits, cap_hits);
 

@@ -24,18 +24,21 @@
 // (the components reachable from the bridge that also reach back to it)
 // restarts from X and is solved to its least fixpoint before anything
 // downstream, matching the reference's ternary least-fixpoint semantics.
-// Only the fault's own components run the transistor-level solver; every
-// fault-free component, in the loop or not, is a lookup in its compiled
-// response table (SwitchSim::table_row), which is exact for any gate
-// values and retained charge.
+// Every fault-free component, in the loop or not, is a lookup in its
+// compiled response table (SwitchSim::table_row), which is exact for any
+// gate values and retained charge.  The fault's own components - each seed
+// unit, a bridge-merged group or a single seed component - keep a response
+// table of their own, filled lazily: the transistor-level solver runs only
+// on a row of read-set values (SwitchSim::solve_reads) the unit has not
+// seen before, and a repeated row is a lookup.
 //
 // Fault simulations are independent given the fault-free trace, so apply()
 // fans faults out across the shared thread pool (parallel/parallel_for.h):
 // the good-machine states for a batch of vectors are computed once (one
 // levelized pass per vector, SwitchSim::settle) and shared read-only, each
-// worker owns a scratch state pair, and every result slot (detected_at_,
-// iddq_at_, divergence) is written only by the worker that owns that
-// fault.  Detection indices are per-fault vector positions,
+// worker owns a scratch state pair, and every per-fault slot (detected_at_,
+// iddq_at_, divergence, response rows) is written only by the worker that
+// owns that fault.  Detection indices are per-fault vector positions,
 // never completion order, so all results are bit-identical to the serial
 // path for any worker count.
 #pragma once
@@ -129,7 +132,27 @@ private:
         /// through `merged` (plus any fault-free cycle the fault reaches).
         std::vector<std::int32_t> loop;
         std::vector<NodeId> ends;  ///< bridge end nodes (a, b[, c])
+        std::uint32_t unit_begin = 0;  ///< this fault's units_ range
+        std::uint32_t unit_end = 0;
     };
+
+    /// One solve group of a fault (the merged group, or one seed
+    /// component) and its lazily filled response table.
+    struct SeedUnit {
+        std::int32_t comp = -1;  ///< queue key: the component or merged[0]
+        /// Read-set size (its nets at unit_reads_[read_begin...]), or -1
+        /// when the unit reads more than kMaxRowReads nets and keeps the
+        /// solver.
+        std::int32_t read_count = -1;
+        std::uint32_t read_begin = 0;
+        std::uint32_t stride = 0;  ///< row words: key, then node bytes
+        /// Rows of `stride` words: the key (read-set values as base-3
+        /// digits, first net least significant), then one byte per group
+        /// node in SwitchSim's table encoding.  Released on detection.
+        std::vector<std::uint64_t> rows;
+    };
+    /// Most read nets a row key holds: 3^40 < 2^64.
+    static constexpr int kMaxRowReads = 40;
 
     /// Per-worker scratch, reused across faults.  Between faults cur ==
     /// good and prev == good_prev of the vector being simulated; the
@@ -148,9 +171,13 @@ private:
         /// in [depth, 2 * depth).
         std::vector<std::vector<std::int32_t>> bucket;
         std::vector<SV> before;
+        std::vector<SV> before_prev;
+        std::vector<NodeId> nodes;
         std::uint64_t epoch = 0;
         long long solves = 0;
         long long table_hits = 0;
+        long long fault_rows = 0;
+        long long fault_row_hits = 0;
         long long loop_restarts = 0;
         long long cap_hits = 0;
     };
@@ -158,6 +185,14 @@ private:
     void simulate_fault(std::size_t fi, int vector_index, Scratch& s,
                         const SwitchSim::State& good,
                         const SwitchSim::State& good_prev);
+
+    /// `unit`'s response row for the read-set values in s.cur: one byte
+    /// per group node, as in a compiled table.  A new row is solved once
+    /// per uniform prev value; s.cur and s.prev are left as they were.
+    const std::uint8_t* unit_row(SeedUnit& unit,
+                                 std::span<const std::int32_t> group,
+                                 Scratch& s,
+                                 const SwitchSim::FaultView& fv) const;
 
     void check_iddq(std::size_t fi, int vector_index,
                     const SwitchSim::State& good);
@@ -169,6 +204,8 @@ private:
     const SwitchSim* sim_;
     std::vector<WeightedFault> faults_;
     std::vector<PerFault> per_fault_;
+    std::vector<SeedUnit> units_;        ///< every fault's, fault by fault
+    std::vector<NodeId> unit_reads_;     ///< every unit's read set
     std::vector<int> detected_at_;
     std::vector<int> iddq_at_;
     double total_weight_ = 0.0;

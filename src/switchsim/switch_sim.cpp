@@ -482,6 +482,42 @@ void SwitchSim::solve_component(State& state, const State& prev,
     for (NodeId v : nodes) node_slot[static_cast<size_t>(v)] = -1;
 }
 
+std::vector<NodeId> SwitchSim::solve_reads(std::span<const std::int32_t> comps,
+                                           const FaultView& fault) const {
+    // Mirrors the edge collection of solve_component: a transistor's
+    // source and drain are group nodes or supplies, so only its gate is
+    // read; a bridge edge enters when one end is a group node, and an end
+    // outside the group is a terminal.
+    const auto is_supply = [](NodeId v) {
+        return v == SwitchNetlist::kGnd || v == SwitchNetlist::kVdd;
+    };
+    const auto in_group = [&](NodeId v) {
+        const std::int32_t c = component_of_[static_cast<size_t>(v)];
+        return c >= 0 && std::find(comps.begin(), comps.end(), c) != comps.end();
+    };
+    std::vector<NodeId> reads;
+    for (std::int32_t c : comps)
+        for (int t : comp_transistors_[static_cast<size_t>(c)]) {
+            if (fault.removed(t) || fault.floating(t)) continue;
+            const NodeId g = netlist_->transistors[static_cast<size_t>(t)].gate;
+            if (!is_supply(g)) reads.push_back(g);
+        }
+    if (fault.has_bridge()) {
+        const auto add_terminals = [&](NodeId a, NodeId b) {
+            const bool ga = in_group(a);
+            const bool gb = in_group(b);
+            if (!ga && !gb) return;
+            if (!ga && !is_supply(a)) reads.push_back(a);
+            if (!gb && !is_supply(b)) reads.push_back(b);
+        };
+        add_terminals(fault.fault->a, fault.fault->b);
+        if (fault.fault->c >= 0) add_terminals(fault.fault->b, fault.fault->c);
+    }
+    std::sort(reads.begin(), reads.end());
+    reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
+    return reads;
+}
+
 void SwitchSim::run(State& state, std::span<const bool> inputs,
                     const FaultView& fault) const {
     if (inputs.size() != netlist_->input_nodes.size())

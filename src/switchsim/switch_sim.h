@@ -150,6 +150,16 @@ public:
                          std::span<const std::int32_t> comps,
                          const FaultView& fault) const;
 
+    /// The nets solve_component reads from `state` for this group under
+    /// `fault`, ascending, supplies left out (they are constants): the
+    /// gate nets of its transistors that are neither removed nor
+    /// floating, and the bridge ends that enter the solve as terminals.
+    /// May include the group's own nodes, when one gates the group.  With
+    /// these values fixed, each node's result depends only on its own
+    /// `prev` (docs/ENGINES.md, "Fault-site response rows").
+    std::vector<NodeId> solve_reads(std::span<const std::int32_t> comps,
+                                    const FaultView& fault) const;
+
     /// Components a value change on `node` can affect (via gates).
     std::span<const std::int32_t> gate_dependents(NodeId node) const {
         return gate_deps_[static_cast<size_t>(node)];

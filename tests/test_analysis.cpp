@@ -461,19 +461,21 @@ AnalysisResult expect_thread_invariant(const netlist::Circuit& c,
 
 TEST(AnalysisParallel, ClosureHasNoHistory) {
     // The premise of the parallel pass: a closure is the same on a fresh
-    // engine as on one that closed other pivots before, in any order.
+    // engine as on one that closed other pivots before, in any order, and
+    // the same in a fresh buffer as in one a worker refills.
     const auto c = netlist::build_c432();
     const gatesim::LevelizedCircuit lc = gatesim::levelize(c);
     analysis::ImplicationEngine forward(lc);
-    std::vector<analysis::Closure> first;
+    std::vector<analysis::Closure> first(2 * lc.net_count);
     for (NetId p = 0; p < lc.net_count; ++p)
         for (const bool v : {false, true})
-            first.push_back(forward.close(analysis::Literal{p, v}));
+            forward.close(analysis::Literal{p, v},
+                          first[2 * p + (v ? 1 : 0)]);
     analysis::ImplicationEngine backward(lc);
+    analysis::Closure c2;
     for (NetId p = lc.net_count; p-- > 0;)
         for (const bool v : {true, false}) {
-            const analysis::Closure c2 =
-                backward.close(analysis::Literal{p, v});
+            backward.close(analysis::Literal{p, v}, c2);
             const analysis::Closure& c1 = first[2 * p + (v ? 1 : 0)];
             EXPECT_EQ(c1.conflict, c2.conflict) << "net " << p;
             EXPECT_EQ(c1.forced, c2.forced) << "net " << p;

@@ -11,6 +11,7 @@
 #include "flow/wafer.h"
 #include "model/dl_models.h"
 #include "netlist/builders.h"
+#include "obs/telemetry.h"
 
 namespace dlp::flow {
 namespace {
@@ -310,6 +311,32 @@ TEST(ParallelDeterminism, ExperimentThreadCountInvariant) {
         EXPECT_EQ(par.fit.r, serial.fit.r) << "fit must be bit-identical";
         EXPECT_EQ(par.fit.theta_max, serial.fit.theta_max);
     }
+}
+
+/// The notes on the flow.simulate span of one cold run of `circuit`.
+std::string simulate_notes(const netlist::Circuit& circuit,
+                           const ExperimentOptions& opt) {
+    obs::set_enabled(true);
+    obs::reset();
+    ExperimentRunner(circuit, opt).simulate();
+    std::string notes;
+    for (const obs::SpanInfo& s : obs::spans_snapshot())
+        if (s.name == "flow.simulate") notes += s.note;
+    obs::set_enabled(false);
+    obs::reset();
+    return notes;
+}
+
+TEST(Runner, SweepCapIsNotedNotSilent) {
+    // The 4-bit adder's extracted bridges include feedback loops, which
+    // one solve per component per fault-vector cannot settle from X.
+    ExperimentOptions opt;
+    opt.atpg.max_random = 128;
+    const netlist::Circuit circuit = netlist::build_ripple_adder(4);
+    EXPECT_EQ(simulate_notes(circuit, opt), "");
+    opt.sim.max_sweeps = 1;
+    const std::string capped = simulate_notes(circuit, opt);
+    EXPECT_NE(capped.find("max_sweeps cap hit"), std::string::npos) << capped;
 }
 
 TEST(ToSwitchFaults, MappingShapes) {

@@ -778,6 +778,215 @@ TEST(CompiledTables, SelfGatedComponentsKeepTheSolver) {
     EXPECT_TRUE(sim.in_cyclic_tail(0));
 }
 
+// ---- fault-site response rows ----------------------------------------------
+
+/// The solve groups the fault simulator gives `fault`: the merged group of
+/// a bridge across components, else each seed component alone.
+std::vector<std::vector<std::int32_t>> seed_groups(const SwitchSim& sim,
+                                                   const SwitchFault& fault) {
+    std::vector<std::int32_t> seeds;
+    const auto add = [&](NodeId n) {
+        const std::int32_t c = sim.component_of()[static_cast<size_t>(n)];
+        if (c >= 0 && std::find(seeds.begin(), seeds.end(), c) == seeds.end())
+            seeds.push_back(c);
+    };
+    if (fault.kind == SwitchFault::Kind::Bridge) {
+        for (NodeId n : {fault.a, fault.b, fault.c})
+            if (n >= 0) add(n);
+        if (seeds.size() >= 2) return {seeds};
+    } else {
+        for (int t : fault.transistors) {
+            const auto& tr = sim.netlist().transistors[static_cast<size_t>(t)];
+            add(tr.source == SwitchNetlist::kGnd ||
+                        tr.source == SwitchNetlist::kVdd
+                    ? tr.drain
+                    : tr.source);
+        }
+    }
+    std::vector<std::vector<std::int32_t>> out;
+    for (std::int32_t c : seeds) out.push_back({c});
+    return out;
+}
+
+/// For random read-set values (X with probability `p_x`) and random mixed
+/// prev, solve_component on `group` equals, node by node, the uniform-prev
+/// solve at that node's own prev: the row decomposition the fault
+/// simulator stores.  Also perturbs every net outside the read set and
+/// expects the same solve.  Returns the trials with more than six X read
+/// nets (solve_component's kMaxVars fallback when they are gates).
+int expect_separable(const SwitchSim& sim, std::span<const std::int32_t> group,
+                     const SwitchFault* fault, std::mt19937& rng, int trials,
+                     double p_x = 1.0 / 3) {
+    SwitchSim::FaultView fv;
+    fv.fault = fault;
+    const std::vector<NodeId> reads = sim.solve_reads(group, fv);
+    std::vector<NodeId> nodes;
+    for (std::int32_t c : group)
+        for (NodeId v : sim.component_nodes(c)) nodes.push_back(v);
+    std::vector<char> is_read(static_cast<size_t>(sim.netlist().node_count), 0);
+    for (NodeId v : reads) is_read[static_cast<size_t>(v)] = 1;
+    std::bernoulli_distribution x_draw(p_x);
+    const auto random_sv = [&] {
+        return x_draw(rng) ? SV::X : static_cast<SV>(rng() % 2);
+    };
+    int many_x = 0;
+    auto state = sim.initial_state();
+    auto prev = sim.initial_state();
+    for (int trial = 0; trial < trials; ++trial) {
+        int xs = 0;
+        for (NodeId v = 2; v < sim.netlist().node_count; ++v)
+            state[static_cast<size_t>(v)] = random_sv();
+        for (NodeId v : reads) xs += state[static_cast<size_t>(v)] == SV::X;
+        many_x += xs > 6;
+        for (NodeId v : nodes)
+            prev[static_cast<size_t>(v)] = static_cast<SV>(rng() % 3);
+
+        auto solved = state;
+        sim.solve_component(solved, prev, group, fv);
+        std::array<SwitchSim::State, 3> uniform;
+        for (int p = 0; p < 3; ++p) {
+            auto pr = prev;
+            for (NodeId v : nodes) pr[static_cast<size_t>(v)] = static_cast<SV>(p);
+            uniform[static_cast<size_t>(p)] = state;
+            sim.solve_component(uniform[static_cast<size_t>(p)], pr, group, fv);
+        }
+        auto moved = state;
+        for (NodeId v = 2; v < sim.netlist().node_count; ++v)
+            if (!is_read[static_cast<size_t>(v)])
+                moved[static_cast<size_t>(v)] = random_sv();
+        sim.solve_component(moved, prev, group, fv);
+        for (NodeId v : nodes) {
+            const size_t i = static_cast<size_t>(v);
+            const SV want = uniform[static_cast<size_t>(prev[i])][i];
+            if (solved[i] != want || moved[i] != solved[i]) {
+                ADD_FAILURE() << "group of component " << group[0]
+                              << " node " << v << " trial " << trial
+                              << ": solve " << static_cast<int>(solved[i])
+                              << ", row " << static_cast<int>(want)
+                              << ", outside the read set moved "
+                              << static_cast<int>(moved[i]);
+                return many_x;
+            }
+        }
+    }
+    return many_x;
+}
+
+TEST(FaultRows, SolveIsSeparableInPrev) {
+    const FlowFaults ff(netlist::build_c432());
+    std::mt19937 rng(2323);
+    int merged = 0;
+    int self_gated = 0;
+    int opens = 0;
+    std::array<int, 3> floats{};  // Low, High, Mid
+    for (const WeightedFault& wf : ff.faults) {
+        const SwitchFault& f = wf.fault;
+        for (const auto& group : seed_groups(ff.sim, f)) {
+            if (group.size() > 1) {
+                ++merged;
+                SwitchSim::FaultView fv;
+                fv.fault = &f;
+                for (NodeId v : ff.sim.solve_reads(group, fv)) {
+                    const std::int32_t c =
+                        ff.sim.component_of()[static_cast<size_t>(v)];
+                    if (std::find(group.begin(), group.end(), c) !=
+                        group.end()) {
+                        ++self_gated;
+                        break;
+                    }
+                }
+            }
+            if (f.kind == SwitchFault::Kind::TransistorOpen) ++opens;
+            if (f.kind == SwitchFault::Kind::GateFloat)
+                ++floats[static_cast<size_t>(f.float_level)];
+            expect_separable(ff.sim, group, &f, rng, 3);
+            if (HasFailure()) return;
+        }
+    }
+    EXPECT_GT(merged, 0);
+    EXPECT_GT(self_gated, 0);
+    EXPECT_GT(opens, 0);
+    for (int n : floats) EXPECT_GT(n, 0);
+
+    // Past kMaxVars: eight gate nets on one output, one of them through a
+    // series node that keeps its charge when that gate is off.
+    SwitchNetlist net;
+    enum : NodeId { kOut = 10, kMid = 11 };
+    net.node_count = 12;
+    for (NodeId g = 2; g < 10; ++g) net.input_nodes.push_back(g);
+    net.output_nodes = {kOut};
+    for (NodeId g = 2; g < 9; ++g)
+        net.transistors.push_back({false, g, kOut, SwitchNetlist::kGnd});
+    net.transistors.push_back({true, 2, SwitchNetlist::kVdd, kOut});
+    net.transistors.push_back({false, 9, kOut, kMid});
+    const SwitchSim sim(net);
+    ASSERT_EQ(sim.component_count(), 1);
+    const std::int32_t comp = 0;
+    SwitchFault mid_float;
+    mid_float.kind = SwitchFault::Kind::GateFloat;
+    mid_float.float_level = SwitchFault::FloatLevel::Mid;
+    mid_float.transistors = {3};
+    EXPECT_GT(expect_separable(sim, std::span(&comp, 1), nullptr, rng, 200, 0.8),
+              0);
+    EXPECT_GT(expect_separable(sim, std::span(&comp, 1), &mid_float, rng, 200,
+                               0.8),
+              0);
+}
+
+TEST(FaultRows, LongSequenceWithChargeRetention) {
+    // Many opens (retained charge), mid-band floating gates (X) and
+    // feedback bridges (loop restarts) over 320 vectors: each fault's rows
+    // are reused across vectors under different retained charge.
+    const Circuit c = netlist::techmap(netlist::build_random_circuit(6, 24, 31));
+    const SwitchNetlist net = build_switch_netlist(c);
+    const SwitchSim sim(net);
+    std::mt19937 rng(256);
+    std::vector<WeightedFault> faults;
+    const int transistors = static_cast<int>(net.transistors.size());
+    for (int k = 0; k < 24; ++k) {
+        WeightedFault open;
+        open.fault.kind = SwitchFault::Kind::TransistorOpen;
+        open.fault.transistors = {static_cast<int>(rng() % transistors)};
+        open.name = "open" + std::to_string(k);
+        faults.push_back(open);
+        WeightedFault mid;
+        mid.fault.kind = SwitchFault::Kind::GateFloat;
+        mid.fault.float_level = SwitchFault::FloatLevel::Mid;
+        mid.fault.transistors = {static_cast<int>(rng() % transistors)};
+        mid.name = "mid" + std::to_string(k);
+        faults.push_back(mid);
+    }
+    int loops = 0;
+    for (int tries = 0; tries < 4000 && loops < 16; ++tries) {
+        WeightedFault br;
+        br.fault.kind = SwitchFault::Kind::Bridge;
+        br.fault.a = net.node_of_net(static_cast<netlist::NetId>(
+            rng() % static_cast<unsigned>(c.gate_count())));
+        br.fault.b = net.node_of_net(static_cast<netlist::NetId>(
+            rng() % static_cast<unsigned>(c.gate_count())));
+        if (!is_feedback_bridge(sim, br.fault)) continue;
+        br.name = "loop" + std::to_string(loops++);
+        faults.push_back(br);
+    }
+    ASSERT_EQ(loops, 16);
+
+    std::vector<Vector> vectors;
+    for (const auto& v : random_vectors(c, 320, 57)) vectors.push_back(unpack(v));
+    obs::set_enabled(true);
+    obs::reset();
+    expect_matches_reference(sim, faults, vectors);
+    long long rows = 0;
+    long long hits = 0;
+    for (const auto& [name, value] : obs::counters_snapshot()) {
+        if (name == "faultsim.switch.fault_rows") rows = value;
+        if (name == "faultsim.switch.fault_row_hits") hits = value;
+    }
+    obs::set_enabled(false);
+    obs::reset();
+    EXPECT_GT(rows, 0);
+    EXPECT_GT(hits, 10 * rows);
+}
+
 /// settle() equals the reference step() state for state on every vector.
 void expect_settle_matches_step(const SwitchSim& sim,
                                 const std::vector<Vector>& vectors) {
@@ -953,7 +1162,9 @@ TEST(ParallelDeterminism, ThreadCountInvariant) {
         for (const auto& [name, value] : obs::counters_snapshot())
             if (name == "faultsim.switch.table_hits" ||
                 name == "faultsim.switch.good_solves" ||
-                name == "faultsim.switch.solves")
+                name == "faultsim.switch.solves" ||
+                name == "faultsim.switch.fault_rows" ||
+                name == "faultsim.switch.fault_row_hits")
                 out[name] = value;
         return out;
     };
@@ -962,6 +1173,7 @@ TEST(ParallelDeterminism, ThreadCountInvariant) {
     serial.apply(vv);
     const auto serial_counters = counters();
     EXPECT_GT(serial_counters.at("faultsim.switch.table_hits"), 0);
+    EXPECT_GT(serial_counters.at("faultsim.switch.fault_row_hits"), 0);
     const std::vector<int> serial_det(serial.first_detected_at().begin(),
                                       serial.first_detected_at().end());
     const std::vector<int> serial_iddq(serial.iddq_detected_at().begin(),
