@@ -16,7 +16,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
 
 #include "cell/geom.h"
 
@@ -39,5 +41,23 @@ struct Facing {
 /// (defects beyond contribute negligibly).
 std::optional<Facing> facing(const cell::Rect& a, const cell::Rect& b,
                              std::int64_t max_spacing);
+
+/// Work done by one facing_pairs() search.
+struct PairSearchStats {
+    std::int64_t examined = 0;  ///< candidate pairs tested with facing()
+    std::int64_t facing = 0;    ///< of those, pairs facing() accepted
+};
+
+/// Calls visit(i, j, f) for every pair i < j of `rects` that
+/// facing(rects[i], rects[j], max_spacing) accepts, in ascending (i, j)
+/// order: the pairs and the order of an all-pairs loop.  `rects` must be
+/// valid and sorted by x1.  Candidates come from horizontal bands, so a
+/// shape is tested only against the shapes within `max_spacing` of it in
+/// y and after it in the x window; see "Extraction order" in
+/// docs/ARCHITECTURE.md.  Adds its work to `stats`.
+void facing_pairs(
+    std::span<const cell::Rect> rects, std::int64_t max_spacing,
+    const std::function<void(std::size_t, std::size_t, const Facing&)>& visit,
+    PairSearchStats& stats);
 
 }  // namespace dlp::extract

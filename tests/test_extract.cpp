@@ -1,12 +1,18 @@
 // Tests for critical-area math, defect statistics and the fault extractor.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+#include <random>
+#include <tuple>
+
 #include "extract/critical_area.h"
 #include "extract/extractor.h"
 #include "extract/monte_carlo.h"
 #include "extract/rules_parser.h"
 #include "layout/place_route.h"
 #include "model/stats.h"
+#include "netlist/bench_parser.h"
 #include "netlist/builders.h"
 #include "netlist/techmap.h"
 
@@ -49,6 +55,161 @@ TEST(CriticalArea, FacingDetection) {
     const auto h = facing(a, Rect{13, 0, 20, 3}, 12);   // side by side
     ASSERT_TRUE(h.has_value());
     EXPECT_DOUBLE_EQ(h->spacing, 3.0);
+}
+
+// ---- the facing-pair search against an all-pairs loop ----------------------
+
+using FacingPair = std::tuple<size_t, size_t, double, double>;
+
+/// The reference: every pair i < j that facing() accepts, in (i, j) order.
+std::vector<FacingPair> all_facing_pairs(const std::vector<Rect>& rects,
+                                         std::int64_t spacing) {
+    std::vector<FacingPair> out;
+    for (size_t i = 0; i < rects.size(); ++i)
+        for (size_t j = i + 1; j < rects.size(); ++j)
+            if (const auto f = facing(rects[i], rects[j], spacing))
+                out.emplace_back(i, j, f->length, f->spacing);
+    return out;
+}
+
+std::vector<FacingPair> searched_facing_pairs(const std::vector<Rect>& rects,
+                                              std::int64_t spacing,
+                                              PairSearchStats& stats) {
+    std::vector<FacingPair> out;
+    facing_pairs(
+        rects, spacing,
+        [&](size_t i, size_t j, const Facing& f) {
+            out.emplace_back(i, j, f.length, f.spacing);
+        },
+        stats);
+    return out;
+}
+
+/// A random layer around the origin, sorted by x1.  It mixes small wires
+/// on a coarse grid (equal x1), wide trunks across the whole layer, tall
+/// wires across many bands, and partners placed beside an earlier shape
+/// at gaps of spacing - 1, spacing and spacing + 1, touching it, or
+/// overlapping it.
+std::vector<Rect> random_layer(std::mt19937_64& rng, size_t n,
+                               std::int64_t spacing) {
+    const auto pick = [&rng](std::int64_t lo, std::int64_t hi) {
+        return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+    };
+    constexpr std::int64_t kLo = -300;
+    constexpr std::int64_t kHi = 300;
+    std::vector<Rect> out;
+    while (out.size() < n) {
+        const int kind = out.empty() ? 0 : static_cast<int>(pick(0, 5));
+        Rect r;
+        if (kind <= 1) {  // a small wire
+            r.x1 = kLo + 8 * pick(0, (kHi - kLo) / 8);
+            r.y1 = pick(kLo, kHi);
+            r.x2 = r.x1 + pick(1, 30);
+            r.y2 = r.y1 + pick(1, 30);
+        } else if (kind == 2) {  // a trunk across the layer
+            r.x1 = kLo + pick(0, 20);
+            r.x2 = kHi - pick(0, 20);
+            r.y1 = pick(kLo, kHi);
+            r.y2 = r.y1 + pick(1, 6);
+        } else if (kind == 3) {  // a tall wire
+            r.x1 = pick(kLo, kHi);
+            r.x2 = r.x1 + pick(1, 4);
+            r.y1 = kLo + pick(0, 50);
+            r.y2 = r.y1 + pick(200, 600);
+        } else {  // beside an earlier shape
+            const Rect& o = out[static_cast<size_t>(
+                pick(0, static_cast<std::int64_t>(out.size()) - 1))];
+            const std::int64_t gaps[] = {spacing - 1, spacing, spacing + 1,
+                                         0, -pick(1, 3)};
+            const std::int64_t gap = gaps[pick(0, 4)];
+            const std::int64_t run = pick(1, 40);
+            const std::int64_t thick = pick(1, 8);
+            switch (pick(0, 3)) {
+                case 0:  // above
+                    r = {o.x1 + pick(-10, 10), o.y2 + gap, 0, 0};
+                    r.x2 = r.x1 + run;
+                    r.y2 = r.y1 + thick;
+                    break;
+                case 1:  // below
+                    r = {o.x1 + pick(-10, 10), 0, 0, o.y1 - gap};
+                    r.x2 = r.x1 + run;
+                    r.y1 = r.y2 - thick;
+                    break;
+                case 2:  // right
+                    r = {o.x2 + gap, o.y1 + pick(-10, 10), 0, 0};
+                    r.x2 = r.x1 + thick;
+                    r.y2 = r.y1 + run;
+                    break;
+                default:  // left
+                    r = {0, o.y1 + pick(-10, 10), o.x1 - gap, 0};
+                    r.x1 = r.x2 - thick;
+                    r.y2 = r.y1 + run;
+                    break;
+            }
+        }
+        out.push_back(r);
+    }
+    std::sort(out.begin(), out.end(),
+              [](const Rect& a, const Rect& b) { return a.x1 < b.x1; });
+    return out;
+}
+
+TEST(FacingPairs, EmptyAndSingleShapeLayers) {
+    PairSearchStats stats;
+    EXPECT_TRUE(searched_facing_pairs({}, 12, stats).empty());
+    EXPECT_TRUE(searched_facing_pairs({Rect{-5, -5, 5, 5}}, 12, stats).empty());
+    EXPECT_EQ(stats.examined, 0);
+    EXPECT_EQ(stats.facing, 0);
+}
+
+TEST(FacingPairs, MatchAllPairsOnRandomLayers) {
+    // Every accepted pair, in the order of the all-pairs loop, with the
+    // same facing length and spacing.
+    std::mt19937_64 rng(20240611);
+    size_t at_spacing = 0;
+    size_t total = 0;
+    for (const std::int64_t spacing : {0, 1, 5, 12}) {
+        for (const size_t n : {2, 3, 10, 60, 300}) {
+            for (int trial = 0; trial < 8; ++trial) {
+                const auto rects = random_layer(rng, n, spacing);
+                const auto want = all_facing_pairs(rects, spacing);
+                PairSearchStats stats;
+                const auto got = searched_facing_pairs(rects, spacing, stats);
+                ASSERT_EQ(got, want) << "spacing " << spacing << ", " << n
+                                     << " shapes, trial " << trial;
+                EXPECT_EQ(stats.facing, static_cast<std::int64_t>(got.size()));
+                EXPECT_GE(stats.examined, stats.facing);
+                total += want.size();
+                for (const auto& pair : want)
+                    if (std::get<3>(pair) == static_cast<double>(spacing))
+                        ++at_spacing;
+            }
+        }
+    }
+    EXPECT_GT(total, 1000u);
+    EXPECT_GT(at_spacing, 100u) << "too few pairs at exactly the spacing";
+}
+
+TEST(FacingPairs, TrunksAndTallWiresExamineFewPairs) {
+    // Rows of short wires under chip-wide trunks: the x window alone would
+    // test every trunk against every later shape, the bands only against
+    // the shapes near it in y.
+    std::vector<Rect> rects;
+    for (std::int64_t row = 0; row < 20; ++row) {
+        const std::int64_t y = -2000 + 100 * row;
+        rects.push_back({-5000, y + 40, 5000, y + 44});  // trunk
+        for (std::int64_t x = -5000; x < 5000; x += 50)
+            rects.push_back({x, y, x + 20, y + 10});
+        rects.push_back({-4990 + 37 * row, -2000, -4987 + 37 * row, 0});
+    }
+    std::sort(rects.begin(), rects.end(),
+              [](const Rect& a, const Rect& b) { return a.x1 < b.x1; });
+    PairSearchStats stats;
+    const auto got = searched_facing_pairs(rects, 12, stats);
+    ASSERT_EQ(got, all_facing_pairs(rects, 12));
+    EXPECT_GT(stats.facing, 0);
+    const auto n = static_cast<std::int64_t>(rects.size());
+    EXPECT_LT(stats.examined, 4 * n) << "examined " << stats.examined;
 }
 
 TEST(DefectStats, ProfilesAreConsistent) {
@@ -229,6 +390,89 @@ TEST(Extractor, OpenDominantProfileShiftsWeight) {
         if (cls.rfind("open.", 0) == 0) open_w += w;
     }
     EXPECT_GT(open_w, bridge_w);
+}
+
+/// FNV-1a over every field of every extracted fault (the weight by its bit
+/// pattern), then the bits of the total and of each class weight.
+std::string extraction_digest(const ExtractionResult& r) {
+    std::uint64_t h = 1469598103934665603ULL;
+    const auto mix = [&h](std::int64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= static_cast<std::uint64_t>(v >> (8 * b)) & 0xff;
+            h *= 1099511628211ULL;
+        }
+    };
+    const auto mix_text = [&](const std::string& s) {
+        mix(static_cast<std::int64_t>(s.size()));
+        for (char ch : s) mix(static_cast<unsigned char>(ch));
+    };
+    const auto mix_bits = [&](double d) {
+        mix(static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(d)));
+    };
+    mix(static_cast<std::int64_t>(r.faults.size()));
+    for (const ExtractedFault& f : r.faults) {
+        mix(static_cast<std::int64_t>(f.kind));
+        for (const cell::NetRef& n : {f.a, f.b, f.c}) {
+            mix(n.instance);
+            mix(n.index);
+        }
+        mix(static_cast<std::int64_t>(f.transistors.size()));
+        for (const auto& [inst, t] : f.transistors) {
+            mix(inst);
+            mix(t);
+        }
+        mix(f.net);
+        mix(f.sink);
+        mix(f.po);
+        mix_bits(f.weight);
+        mix_text(f.description);
+    }
+    mix_bits(r.total_weight);
+    mix(static_cast<std::int64_t>(r.weight_by_class.size()));
+    for (const auto& [cls, w] : r.weight_by_class) {
+        mix_text(cls);
+        mix_bits(w);
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return hex;
+}
+
+std::string extraction_digest(const netlist::Circuit& c,
+                              const DefectStatistics& stats,
+                              const ExtractOptions& options = {}) {
+    const auto chip = layout::place_and_route(netlist::techmap(c));
+    return extraction_digest(extract_faults(chip, stats, options));
+}
+
+// Pinned from the x-window bridge sweep, before the y-band search replaced
+// it.  The search must leave every fault, weight bit, description and
+// class total where it was: a moved digest means an accumulation now
+// happens in another order, or a pair is found or lost.
+TEST(ExtractorDigest, C432) {
+    EXPECT_EQ(extraction_digest(netlist::build_c432(),
+                                DefectStatistics::cmos_bridging_dominant()),
+              "d572845325476735");
+    // The other profile, pairwise bridges only.
+    ExtractOptions pairs_only;
+    pairs_only.multi_node_bridges = false;
+    EXPECT_EQ(extraction_digest(netlist::build_c432(),
+                                DefectStatistics::open_dominant(), pairs_only),
+              "ff84863718330376");
+}
+
+TEST(ExtractorDigest, Random500) {
+    EXPECT_EQ(extraction_digest(netlist::build_random_circuit(32, 500, 7),
+                                DefectStatistics::cmos_bridging_dominant()),
+              "6416bac15ebc8f07");
+}
+
+TEST(ExtractorDigest, Synth2k) {
+    const auto c = netlist::load_bench_file(std::string(DLPROJ_DATA_DIR) +
+                                            "/synth_2k.bench");
+    EXPECT_EQ(extraction_digest(c, DefectStatistics::cmos_bridging_dominant()),
+              "f79e26aca1b69a0a");
 }
 
 TEST(MonteCarlo, ValidatesClosedFormWeights) {

@@ -10,6 +10,7 @@
 #include <new>
 #include <string>
 
+#include "extract/critical_area.h"
 #include "extract/extractor.h"
 #include "flow/experiment.h"
 #include "gatesim/levelized.h"
@@ -441,6 +442,37 @@ TEST_F(ObsTest, AnalysisCountersEqualAcrossThreadCountsOnRand500) {
     const auto serial = run(1);
     EXPECT_GT(serial.at("analysis.proofs"), 0);
     EXPECT_EQ(serial, run(4));
+}
+
+TEST_F(ObsTest, ExtractPairCountersOnC432) {
+    // extract.facing_pairs counts the pairs facing() accepts on the layers
+    // bridges are extracted from, as an all-pairs loop finds them;
+    // extract.pairs_examined the candidates the band search tested.
+    const auto chip =
+        layout::place_and_route(netlist::techmap(netlist::build_c432()));
+    const auto stats = extract::DefectStatistics::cmos_bridging_dominant();
+    const extract::ExtractOptions options;
+    const auto flat = layout::flatten(chip);
+    long long reference = 0;
+    for (const cell::Layer layer :
+         {cell::Layer::NDiff, cell::Layer::PDiff, cell::Layer::Poly,
+          cell::Layer::Metal1, cell::Layer::Metal2}) {
+        if (stats.shorts(layer) <= 0.0) continue;
+        std::vector<cell::Rect> rects;
+        for (const auto& s : flat)
+            if (s.layer == layer) rects.push_back(s.rect);
+        for (size_t i = 0; i < rects.size(); ++i)
+            for (size_t j = i + 1; j < rects.size(); ++j)
+                if (extract::facing(rects[i], rects[j],
+                                    options.max_bridge_spacing))
+                    ++reference;
+    }
+    extract::extract_faults(chip, stats, options);
+    const auto counters = counters_by_prefix("extract.");
+    EXPECT_GT(reference, 0);
+    EXPECT_EQ(counters.at("extract.facing_pairs"), reference);
+    EXPECT_GE(counters.at("extract.pairs_examined"),
+              counters.at("extract.facing_pairs"));
 }
 
 // ---- zero overhead when disabled -----------------------------------------
