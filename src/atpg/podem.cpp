@@ -203,6 +203,7 @@ void Podem::imply(PodemResult& result) {
             const unsigned now = evaluate(g);
             const unsigned was = state[g];
             if (now == was) continue;
+            trail_.emplace_back(g, static_cast<std::uint8_t>(was));
             state[g] = static_cast<std::uint8_t>(now);
             if (is_d(now) && !in_d_list_[g]) {
                 in_d_list_[g] = 1;
@@ -225,6 +226,17 @@ void Podem::imply(PodemResult& result) {
     hi_ = 0;
     result.gate_evals += evals;
     ++result.implications;
+}
+
+void Podem::undo_to(size_t mark) {
+    // Newest first, so each net ends at its state from before the mark.
+    // Nothing else needs restoring (docs/ENGINES.md, "PODEM implication"):
+    // every state past the mark refines the mark's, so a net that was
+    // D/D' there never changed and never left d_nets_, and no PO showed
+    // D/D' there or at the backtrack, so d_outputs_ is 0 in both.
+    for (size_t i = trail_.size(); i-- > mark;)
+        state_[trail_[i].first] = trail_[i].second;
+    trail_.resize(mark);
 }
 
 bool Podem::x_path_exists() {
@@ -375,12 +387,9 @@ PodemResult Podem::generate(const StuckAtFault& fault, int backtrack_limit,
 
     // Reset to the all-X assignment.  With every PI at X every good value
     // is X, and so is every faulty value except where the fault injects a
-    // constant: settle from the fault site alone.  A previous search may
-    // have returned with PIs still queued; drop them.
-    std::fill(queued_.begin(), queued_.end(), 0);
-    level_end_.assign(level_start_.begin(), level_start_.end() - 1);
-    lo_ = UINT32_MAX;
-    hi_ = 0;
+    // constant: settle from the fault site alone.  The queue is empty:
+    // every schedule() is followed by an imply(), and a backtrack resets
+    // the popped PIs from the trail without queueing them.
     for (NetId g : d_nets_) in_d_list_[g] = 0;
     d_nets_.clear();
     d_outputs_ = 0;
@@ -392,10 +401,12 @@ PodemResult Podem::generate(const StuckAtFault& fault, int backtrack_limit,
     schedule(fault.net);
     if (!fault.is_stem()) schedule(fault.reader);
     imply(result);
+    trail_.clear();
     struct Frame {
         size_t pi;
         V3 first;
         bool tried_both;
+        size_t mark;  // trail length before the decision
     };
     std::vector<Frame> stack;
 
@@ -419,7 +430,7 @@ PodemResult Podem::generate(const StuckAtFault& fault, int backtrack_limit,
 
         if (!dead) {
             const auto [pi, v] = backtrace(obj->first, obj->second);
-            stack.push_back({pi, v, false});
+            stack.push_back({pi, v, false, trail_.size()});
             pi_[pi] = v;
             schedule(circuit_.inputs()[pi]);
             imply(result);
@@ -429,7 +440,6 @@ PodemResult Podem::generate(const StuckAtFault& fault, int backtrack_limit,
         // Backtrack: flip the most recent single-tried decision.
         while (!stack.empty() && stack.back().tried_both) {
             pi_[stack.back().pi] = V3::X;
-            schedule(circuit_.inputs()[stack.back().pi]);
             stack.pop_back();
         }
         if (stack.empty()) {
@@ -451,9 +461,13 @@ PodemResult Podem::generate(const StuckAtFault& fault, int backtrack_limit,
                 return result;
             }
         }
-        stack.back().tried_both = true;
-        pi_[stack.back().pi] = v3_not(stack.back().first);
-        schedule(circuit_.inputs()[stack.back().pi]);
+        // Back to the state from before the flipped decision, then imply
+        // its other value from there.
+        Frame& top = stack.back();
+        undo_to(top.mark);
+        top.tried_both = true;
+        pi_[top.pi] = v3_not(top.first);
+        schedule(circuit_.inputs()[top.pi]);
         imply(result);
     }
 }

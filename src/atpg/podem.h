@@ -1,14 +1,17 @@
 // PODEM (Path-Oriented DEcision Making) deterministic test generation for
 // single stuck-at faults, with SCOAP-guided backtrace and X-path checks.
 //
-// Implication is event-driven: a decision or backtrack re-evaluates only
-// the fanout of the primary inputs it changed, level by level, with the
-// good and faulty machines packed dual-rail into one byte per net and
-// evaluated together.  The X-path check and the D-frontier scan start from
-// the nets carrying a fault effect, inside the fault's forward cone,
-// instead of sweeping the circuit.  Values are a pure function of the PI
-// assignment, so the search takes exactly the decisions a full
-// re-simulation would (docs/ENGINES.md, "PODEM implication").
+// Implication is event-driven: a decision re-evaluates only the fanout of
+// the primary input it set, level by level, with the good and faulty
+// machines packed dual-rail into one byte per net and evaluated together.
+// Every state change goes on an undo trail, so a backtrack restores the
+// state from before the decision it flips by walking the trail back, and
+// then implies only the flipped input.  The X-path check and the
+// D-frontier scan start from the nets carrying a fault effect, inside the
+// fault's forward cone, instead of sweeping the circuit.  Values are a
+// pure function of the PI assignment, so the search takes exactly the
+// decisions a full re-simulation would (docs/ENGINES.md, "PODEM
+// implication").
 //
 // The paper's experiment uses random vectors followed by deterministically
 // generated ones (FAN in the original); PODEM fills the same role here:
@@ -51,8 +54,9 @@ struct PodemResult {
     Vector test;           ///< `cube` filled by fill_cube with the x-fill
     int backtracks = 0;    ///< decisions reverted during the search
     int implications = 0;  ///< imply() passes run (search effort measure)
-    /// Gates re-evaluated across all imply() passes (both machines of one
-    /// gate count once): the work behind `implications`.
+    /// Gates evaluated across all imply() passes (both machines of one
+    /// gate count once; nets restored from the undo trail do not count):
+    /// the work behind `implications`.
     std::int64_t gate_evals = 0;
     /// Why an Aborted search stopped: None means the per-fault backtrack
     /// limit, otherwise the budget's cancel/deadline fired mid-search.
@@ -87,6 +91,7 @@ private:
     static bool is_d(unsigned state);  // D or D': binary, machines differ
     void schedule(NetId g);
     void imply(PodemResult& result);
+    void undo_to(size_t mark);
     bool x_path_exists();
     std::optional<std::pair<NetId, V3>> objective() const;
     std::pair<size_t, V3> backtrace(NetId net, V3 value) const;
@@ -125,6 +130,9 @@ private:
     std::vector<NetId> d_nets_;
     std::vector<std::uint8_t> in_d_list_;
     int d_outputs_ = 0;  // POs currently carrying D/D'
+    // Undo trail: (net, state before the change) for every state change
+    // since the search's initial implication, oldest first.
+    std::vector<std::pair<NetId, std::uint8_t>> trail_;
 
     // Event queue, bucketed by level: level lv owns the slots
     // [level_start_[lv], level_start_[lv + 1]) of queue_, filled up to
