@@ -3,10 +3,9 @@
 // Two engines implement one `Session` contract: `naive`, a scalar
 // per-vector reference oracle, and `levelized`, the production engine
 // (gatesim::LevelizedFaultSimulator).  Production code — ATPG test
-// generation, vector compaction, the experiment flow — constructs the
-// levelized simulator directly; the fixed name table below exists for the
-// differential tests, the perf benches and the golden-corpus judge, which
-// pin both engines.
+// generation and the experiment flow — constructs the levelized simulator
+// directly; the fixed name table below exists for the differential tests,
+// the perf benches and the golden-corpus judge, which pin both engines.
 //
 // The load-bearing invariant: both engines produce BIT-IDENTICAL results —
 // the same first-detection index per fault, hence byte-identical coverage

@@ -86,7 +86,7 @@ void simulate_block_levelized(const LevelizedCircuit& lc,
                               parallel::ParallelOptions parallel = {});
 
 /// The levelized engine session: the production fault simulator, which
-/// ATPG, compaction and the flow construct directly.
+/// ATPG and the flow construct directly.
 class LevelizedFaultSimulator final : public sim::Session {
 public:
     /// `ndetect` is the n-detection target: a fault is dropped only after

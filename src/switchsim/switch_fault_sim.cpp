@@ -29,10 +29,18 @@ SwitchFaultSimulator::SwitchFaultSimulator(const SwitchSim& sim,
     po_mask_.assign(static_cast<size_t>(net.node_count), 0);
     for (NodeId po : net.output_nodes) po_mask_[static_cast<size_t>(po)] = 1;
 
+    long long weakening = 0;
     for (size_t fi = 0; fi < faults_.size(); ++fi) {
         const SwitchFault& f = faults_[fi].fault;
         total_weight_ += faults_[fi].weight;
         PerFault& pf = per_fault_[fi];
+        pf.unit_begin = pf.unit_end = static_cast<std::uint32_t>(units_.size());
+        // Never detected and never simulated: no seeds, units or loop set.
+        pf.weakening = sim.gate_float_unknown(f);
+        if (pf.weakening) {
+            ++weakening;
+            continue;
+        }
         const auto add_seed = [&](NodeId n) {
             const std::int32_t c =
                 sim.component_of()[static_cast<size_t>(n)];
@@ -67,7 +75,6 @@ SwitchFaultSimulator::SwitchFaultSimulator(const SwitchSim& sim,
         // component alone.  Their read sets and row stores are made here,
         // on the constructing thread, so the rows workers fill stay in
         // this thread's heap rather than in per-thread malloc arenas.
-        pf.unit_begin = static_cast<std::uint32_t>(units_.size());
         SwitchSim::FaultView fv;
         fv.fault = &f;
         const auto add_unit = [&](std::span<const std::int32_t> group) {
@@ -94,6 +101,8 @@ SwitchFaultSimulator::SwitchFaultSimulator(const SwitchSim& sim,
                 add_unit(std::span(&c, 1));
         pf.unit_end = static_cast<std::uint32_t>(units_.size());
     }
+    DLP_OBS_COUNTER(c_weakening, "faultsim.switch.weakening_faults");
+    DLP_OBS_ADD(c_weakening, weakening);
     compile_components();
 
     good_ = sim.initial_state();
@@ -553,7 +562,9 @@ support::ApplyResult SwitchFaultSimulator::apply(
                     bool synced = false;
                     for (size_t fi = fb; fi < fe; ++fi) {
                         if (iddq_at_[fi] < 0) check_iddq(fi, k, good);
-                        if (detected_at_[fi] >= 0) continue;
+                        if (detected_at_[fi] >= 0 ||
+                            per_fault_[fi].weakening)
+                            continue;
                         if (!synced) {
                             // simulate_fault repairs cur/prev back to the
                             // fault-free pair, so one resync per vector

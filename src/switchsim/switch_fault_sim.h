@@ -32,6 +32,12 @@
 // on a row of read-set values (SwitchSim::solve_reads) the unit has not
 // seen before, and a repeated row is a lookup.
 //
+// A floating gate with no definite level (SwitchSim::gate_float_unknown)
+// can only weaken good values to X, so no static voltage test detects it
+// (docs/ENGINES.md, "Faults that only weaken").  Such a fault is never
+// simulated: it gets no seed units or loop set, and its detection and
+// IDDQ indices stay -1, which is what simulating it would give.
+//
 // Fault simulations are independent given the fault-free trace, so apply()
 // fans faults out across the shared thread pool (parallel/parallel_for.h):
 // the good-machine states for a batch of vectors are computed once (one
@@ -134,6 +140,8 @@ private:
         std::vector<NodeId> ends;  ///< bridge end nodes (a, b[, c])
         std::uint32_t unit_begin = 0;  ///< this fault's units_ range
         std::uint32_t unit_end = 0;
+        /// SwitchSim::gate_float_unknown: never simulated, never detected.
+        bool weakening = false;
     };
 
     /// One solve group of a fault (the merged group, or one seed
@@ -158,7 +166,11 @@ private:
     /// good and prev == good_prev of the vector being simulated; the
     /// per-component marks are valid only when stamped with the current
     /// fault's epoch, so nothing is cleared or allocated per fault.
-    struct Scratch {
+    /// Cache-line aligned: one worker's counters must not share a line
+    /// with the next worker's state pointers (depending on heap layout,
+    /// that false sharing made the 16-vector synth_2k cell up to 40 %
+    /// slower at 4 threads).
+    struct alignas(64) Scratch {
         SwitchSim::State cur;
         SwitchSim::State prev;
         std::vector<std::uint64_t> queued;   ///< comp in the queue @ epoch

@@ -290,9 +290,7 @@ void SwitchSim::solve_component(State& state, const State& prev,
             int var = -1;
             bool invert = false;
             if (fault.floating(t)) {
-                if (params_.float_gate == FloatGateModel::Unknown ||
-                    fault.fault->float_level ==
-                        SwitchFault::FloatLevel::Mid) {
+                if (gate_float_unknown(*fault.fault)) {
                     var = find_var('f', t);
                 } else {
                     const bool high = fault.fault->float_level ==

@@ -114,6 +114,18 @@ public:
 
     const SwitchNetlist& netlist() const { return *netlist_; }
 
+    /// True for a GateFloat fault whose floating gate has no definite
+    /// level (FloatLevel::Mid, or any float under FloatGateModel::Unknown):
+    /// solve_component gives each of its floating transistors a free
+    /// variable, so the faulty machine can only weaken good values to X
+    /// and never differs at a definite value (docs/ENGINES.md, "Faults
+    /// that only weaken").
+    bool gate_float_unknown(const SwitchFault& fault) const {
+        return fault.kind == SwitchFault::Kind::GateFloat &&
+               (params_.float_gate == FloatGateModel::Unknown ||
+                fault.float_level == SwitchFault::FloatLevel::Mid);
+    }
+
     /// Full node-state vector (indexed by NodeId).
     using State = std::vector<SV>;
     State initial_state() const;

@@ -10,7 +10,6 @@
 
 #include "analysis/untestable.h"
 #include "atpg/generate.h"
-#include "atpg/compaction.h"
 #include "atpg/transition_tpg.h"
 #include "gatesim/levelized.h"
 #include "gatesim/patterns.h"
@@ -445,43 +444,6 @@ TEST(TransitionTpg, StopsAfterTheBlockThatCompletesCoverage) {
             << c.name() << ": covered at vector " << last << " of "
             << res.random_count;
     }
-}
-
-TEST(Compaction, PreservesCoverageAndShrinks) {
-    const Circuit c = netlist::techmap(build_c432());
-    auto faults = collapse_faults(c, full_fault_universe(c));
-    TestGenOptions opt;
-    opt.seed = 7;
-    const auto res = generate_test_set(c, faults, opt);
-
-    const auto compact = compact_reverse(c, faults, res.vectors);
-    EXPECT_LT(compact.kept, compact.original / 4)
-        << "random prefix should mostly fall away";
-    EXPECT_EQ(compact.kept, compact.vectors.size());
-
-    // Coverage of the compacted set equals the original detected count.
-    gatesim::LevelizedFaultSimulator before(c, faults);
-    before.apply(res.vectors);
-    gatesim::LevelizedFaultSimulator after(c, faults);
-    after.apply(compact.vectors);
-    EXPECT_EQ(after.detected_count(), before.detected_count());
-}
-
-TEST(Compaction, KeepsOrderAndHandlesTinySets) {
-    const Circuit c = build_c17();
-    auto faults = collapse_faults(c, full_fault_universe(c));
-    gatesim::RandomPatternGenerator rng(2);
-    const auto vectors = rng.vectors(c, 32);
-    const auto compact = compact_reverse(c, faults, vectors);
-    // Kept vectors appear in their original relative order.
-    size_t cursor = 0;
-    for (const auto& v : compact.vectors) {
-        while (cursor < vectors.size() && vectors[cursor] != v) ++cursor;
-        ASSERT_LT(cursor, vectors.size());
-        ++cursor;
-    }
-    const auto empty = compact_reverse(c, faults, {});
-    EXPECT_EQ(empty.kept, 0u);
 }
 
 // ---- parallel PODEM targets ------------------------------------------------

@@ -4,7 +4,8 @@
 // differential against brute-force step_faulty re-simulation on the
 // extracted fault lists of the flow, and its metamorphic invariances - plus
 // the compiled CCC tables and the levelized fault-free trace against the
-// solver and step().
+// solver and step(), and the premise that lets it skip floating gates with
+// no definite level.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -110,18 +111,21 @@ Reference brute_force(const SwitchSim& sim,
     return ref;
 }
 
-void expect_matches_reference(const SwitchSim& sim,
-                              const std::vector<WeightedFault>& faults,
-                              const std::vector<Vector>& vectors) {
+/// Checks the incremental simulator against brute_force; returns the
+/// reference's detection indices.
+std::vector<int> expect_matches_reference(
+    const SwitchSim& sim, const std::vector<WeightedFault>& faults,
+    const std::vector<Vector>& vectors) {
     SwitchFaultSimulator inc(sim, faults);
     inc.apply(vectors);
-    const Reference ref = brute_force(sim, faults, vectors);
+    Reference ref = brute_force(sim, faults, vectors);
     for (size_t fi = 0; fi < faults.size(); ++fi) {
         EXPECT_EQ(inc.first_detected_at()[fi], ref.detected_at[fi])
             << faults[fi].name << ": incremental vs brute force";
         EXPECT_EQ(inc.iddq_detected_at()[fi], ref.iddq_at[fi])
             << faults[fi].name << ": IDDQ";
     }
+    return std::move(ref.detected_at);
 }
 
 std::vector<Vector> random_vectors(const Circuit& c, int n,
@@ -987,6 +991,99 @@ TEST(FaultRows, LongSequenceWithChargeRetention) {
     EXPECT_GT(hits, 10 * rows);
 }
 
+// ---- faults that only weaken ---------------------------------------------
+
+TEST(WeakeningFaults, ReferenceNeverContradictsGood) {
+    // A floating gate with no definite level (mid band, or any float under
+    // the Unknown model) can only weaken good values: after every vector,
+    // each node of the reference faulty state equals the good state or is
+    // X.  The simulator never simulates these faults, so its detections
+    // must still equal the brute-force reference, which does.  Opens and
+    // Low/High floats on the same transistors are simulated as usual, and
+    // some of them are detected.
+    SimParams unknown;
+    unknown.float_gate = FloatGateModel::Unknown;
+    for (const unsigned seed : {31u, 47u, 59u}) {
+        SCOPED_TRACE(seed);
+        const Circuit c =
+            netlist::techmap(netlist::build_random_circuit(6, 24, seed));
+        const SwitchNetlist net = build_switch_netlist(c);
+        const unsigned transistors =
+            static_cast<unsigned>(net.transistors.size());
+        std::mt19937 rng(seed);
+        // One transistor, or every transistor one net gates (an open that
+        // cuts the whole net).
+        std::vector<std::vector<int>> sets;
+        for (int k = 0; k < 8; ++k) {
+            sets.push_back({static_cast<int>(rng() % transistors)});
+            const NodeId g = net.transistors[rng() % transistors].gate;
+            std::vector<int> gated;
+            for (unsigned t = 0; t < transistors; ++t)
+                if (net.transistors[t].gate == g)
+                    gated.push_back(static_cast<int>(t));
+            sets.push_back(gated);
+        }
+        std::vector<WeightedFault> faults;
+        for (size_t k = 0; k < sets.size(); ++k) {
+            WeightedFault f;
+            f.fault.transistors = sets[k];
+            f.fault.kind = SwitchFault::Kind::TransistorOpen;
+            f.name = "open" + std::to_string(k);
+            faults.push_back(f);
+            f.fault.kind = SwitchFault::Kind::GateFloat;
+            for (const auto& [level, name] :
+                 {std::pair{SwitchFault::FloatLevel::Low, "low"},
+                  std::pair{SwitchFault::FloatLevel::High, "high"},
+                  std::pair{SwitchFault::FloatLevel::Mid, "mid"}}) {
+                f.fault.float_level = level;
+                f.name = name + std::to_string(k);
+                faults.push_back(f);
+            }
+        }
+        std::vector<Vector> vectors;
+        for (const auto& v : random_vectors(c, 320, seed))
+            vectors.push_back(unpack(v));
+
+        for (const SimParams& params : {SimParams{}, unknown}) {
+            const SwitchSim sim(net, params);
+            std::vector<SwitchSim::State> good;
+            auto st = sim.initial_state();
+            for (const Vector& v : vectors) {
+                step_vec(sim, st, v);
+                good.push_back(st);
+            }
+            size_t weakening = 0;
+            long long weakened = 0;  // node-vectors: good definite, faulty X
+            for (const WeightedFault& wf : faults) {
+                if (!sim.gate_float_unknown(wf.fault)) continue;
+                ++weakening;
+                auto faulty = sim.initial_state();
+                for (size_t k = 0; k < vectors.size(); ++k) {
+                    step_vec_faulty(sim, faulty, vectors[k], wf.fault);
+                    for (size_t v = 0; v < faulty.size(); ++v) {
+                        if (faulty[v] == good[k][v]) continue;
+                        ASSERT_EQ(faulty[v], SV::X)
+                            << wf.name << " vector " << k << " node " << v;
+                        ++weakened;
+                    }
+                }
+            }
+            const bool all_floats =
+                params.float_gate == FloatGateModel::Unknown;
+            EXPECT_EQ(weakening, (all_floats ? 3 : 1) * sets.size());
+            EXPECT_GT(weakened, 0);
+
+            const std::vector<int> det =
+                expect_matches_reference(sim, faults, vectors);
+            int detected = 0;
+            for (size_t fi = 0; fi < faults.size(); ++fi)
+                if (!sim.gate_float_unknown(faults[fi].fault) && det[fi] > 0)
+                    ++detected;
+            EXPECT_GT(detected, 0);
+        }
+    }
+}
+
 /// settle() equals the reference step() state for state on every vector.
 void expect_settle_matches_step(const SwitchSim& sim,
                                 const std::vector<Vector>& vectors) {
@@ -1148,14 +1245,22 @@ TEST(ParallelDeterminism, ThreadCountInvariant) {
         g.weight = (w *= 1.05);
         g.name = "float" + std::to_string(t);
         faults.push_back(g);
+        g.fault.float_level = SwitchFault::FloatLevel::Mid;
+        g.weight = (w *= 1.02);
+        g.name = "mid" + std::to_string(t);
+        faults.push_back(g);
     }
+    const auto mid_floats = std::count_if(
+        faults.begin(), faults.end(),
+        [&](const WeightedFault& f) { return sim.gate_float_unknown(f.fault); });
 
     gatesim::RandomPatternGenerator rng(13);
     std::vector<Vector> vv;
     for (const auto& v : rng.vectors(c, 48)) vv.push_back(unpack(v));
 
-    // The table and solver counters are summed per fault-vector, so they
-    // too are independent of the worker count.
+    // The table and solver counters are summed per fault-vector, and the
+    // skipped faults are counted per simulator, so they too are
+    // independent of the worker count.
     obs::set_enabled(true);
     const auto counters = [] {
         std::map<std::string, long long> out;
@@ -1164,7 +1269,8 @@ TEST(ParallelDeterminism, ThreadCountInvariant) {
                 name == "faultsim.switch.good_solves" ||
                 name == "faultsim.switch.solves" ||
                 name == "faultsim.switch.fault_rows" ||
-                name == "faultsim.switch.fault_row_hits")
+                name == "faultsim.switch.fault_row_hits" ||
+                name == "faultsim.switch.weakening_faults")
                 out[name] = value;
         return out;
     };
@@ -1174,6 +1280,9 @@ TEST(ParallelDeterminism, ThreadCountInvariant) {
     const auto serial_counters = counters();
     EXPECT_GT(serial_counters.at("faultsim.switch.table_hits"), 0);
     EXPECT_GT(serial_counters.at("faultsim.switch.fault_row_hits"), 0);
+    EXPECT_GT(mid_floats, 0);
+    EXPECT_EQ(serial_counters.at("faultsim.switch.weakening_faults"),
+              mid_floats);
     const std::vector<int> serial_det(serial.first_detected_at().begin(),
                                       serial.first_detected_at().end());
     const std::vector<int> serial_iddq(serial.iddq_detected_at().begin(),
